@@ -55,4 +55,4 @@ for k, c in enumerate(coeffs):
 
 print("\nfirst Hilbert function values:", series_expand(series, 6))
 print(f"\nborder peeling: {t_rec:.4f}s   multi-sum: {t_dir:.4f}s   "
-      f"ratio {t_dir / t_rec:.0f}x")
+      f"ratio {t_dir / t_rec:.1f}x")

@@ -72,10 +72,18 @@ class MismatchFound(LadderError):
 class OddExponentPresent(LadderError):
     """A polynomial expected to be even in q has an odd-exponent term.
 
-    This is never a valid outcome of the determinant pipeline; seeing it
-    means a bug or hand-built invalid input.
+    Also raised for a determinant entry (s, t) with a term whose q-exponent
+    is not congruent to t - s mod 2; such an entry puts odd exponents into
+    the determinant.  This is never a valid outcome of the determinant
+    pipeline; seeing it means a bug or hand-built invalid input.
     """
 
-    def __init__(self, exponent: int):
-        super().__init__(f"nonzero coefficient at odd q-exponent {exponent}")
+    def __init__(self, exponent: int, entry: tuple[int, int] | None = None):
+        if entry is None:
+            message = f"nonzero coefficient at odd q-exponent {exponent}"
+        else:
+            message = (f"entry {entry} has a nonzero coefficient at q-exponent "
+                       f"{exponent}, breaking the q-parity invariant")
+        super().__init__(message)
         self.exponent = exponent
+        self.entry = entry

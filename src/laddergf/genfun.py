@@ -16,12 +16,13 @@ Two evaluation strategies are provided:
 
 * ``gf_direct`` -- a single multi-sum over the coarsest partition of
   [alpha_1, eps_1] into intervals of constant boundary value, one pair of
-  summation indices per interval.
+  summation indices per interval, evaluated as a dynamic program over the
+  running entry counts of the two rows in time polynomial in the ladder.
 
 * ``gf_recursive`` -- peel the rightmost piece of the boundary (horizontal
   run or diagonal staircase run) and recurse, with closed binomial forms at
-  single-piece base cases.  Far faster when the boundary has long diagonal
-  stretches, since the multi-sum needs one interval per diagonal column.
+  single-piece base cases.  A whole diagonal piece costs it one closed form
+  instead of one interval per column.
 
 Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
 before analysing its shape; values outside that window constrain nothing,
@@ -255,6 +256,12 @@ def _direct_sum(fext: Callable[[int], int], l, a1, a2, e1, e2, d) -> HalfPolynom
     entries at or above g(eps_1): those pair with nothing only while their
     number stays <= d, which matters precisely when eps_2 reaches the
     boundary, as it always does for the shifted determinant entries.
+
+    A summand depends on the earlier blocks only through the running pair
+    (e_i, f_i), so the sum runs forward over the blocks on a table mapping
+    each pair to its summed weight: at most (eps_1 - alpha_1 + 2) *
+    (eps_2 - alpha_2 + 2) pairs, each extended by (width + 1)(rise + 1)
+    steps per block, instead of one visit per summand.
     """
     if e1 < a1:
         return gf_trivial(l, LatticePoint(a1, a2), LatticePoint(e1, e2))
@@ -266,33 +273,28 @@ def _direct_sum(fext: Callable[[int], int], l, a1, a2, e1, e2, d) -> HalfPolynom
     svals.append(a1 - 1)
     kappa = len(svals) - 1
     thr = [g[svals[i] - a1] for i in range(kappa)] + [a2]
-    terms: dict[int, int] = {}
-
-    def descend(i, e_prev, f_prev, weight):
-        if i == kappa + 1:
-            if e_prev - f_prev == l:
-                exp = 2 * e_prev - l
-                terms[exp] = terms.get(exp, 0) + weight
-            return
-        we = svals[i - 1] - svals[i]
-        wf = thr[i - 1] - thr[i]
-        for de in range(0, max(0, we) + 1):
-            cbe = binomial(we, de)
-            if not cbe:
-                continue
-            for df in range(0, max(0, wf) + 1):
-                cbf = binomial(wf, df)
-                if not cbf:
-                    continue
-                if f_prev + df > e_prev + de + d:
-                    break
-                descend(i + 1, e_prev + de, f_prev + df, weight * cbe * cbf)
-
+    states: dict[tuple[int, int], int] = {}
     for f0 in range(0, d + 1):
         ctop = binomial(e2 + 1 - thr[0], f0)
         if ctop:
-            descend(1, 0, f0, ctop)
-    return HalfPolynomial.from_dict(terms)
+            states[(0, f0)] = ctop
+    for i in range(1, kappa + 1):
+        we = svals[i - 1] - svals[i]
+        wf = thr[i - 1] - thr[i]
+        cbe = [binomial(we, de) for de in range(we + 1)]
+        cbf = [binomial(wf, df) for df in range(wf + 1)]
+        nxt: dict[tuple[int, int], int] = {}
+        for (e, f), weight in states.items():
+            for de, ce in enumerate(cbe):
+                w_de = weight * ce
+                # coupling cut f + df <= e + de + d
+                for df in range(0, min(wf, e + de + d - f) + 1):
+                    key = (e + de, f + df)
+                    nxt[key] = nxt.get(key, 0) + w_de * cbf[df]
+        states = nxt
+    return HalfPolynomial.from_dict(
+        {2 * e - l: weight for (e, f), weight in states.items() if e - f == l}
+    )
 
 
 def gf_direct(spec: TASpec) -> HalfPolynomial:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import OddExponentPresent
 from .genfun import TASpec, _Engine, gf_direct, gf_recursive
 from .model import (
     Bivector,
@@ -33,22 +34,23 @@ class GFMatrix:
     """The n x n grid of array generating functions.
 
     Entry (s, t) carries only q-exponents congruent to t - s mod 2, so every
-    expansion term of the determinant has even total degree; the constructor
-    asserts the parity.
+    expansion term of the determinant has even total degree.  The constructor
+    checks the shape (ValueError unless n x n) and the parity
+    (OddExponentPresent, naming the 1-based entry).
     """
 
     n: int
     entries: tuple[tuple[HalfPolynomial, ...], ...]
 
     def __post_init__(self):
-        assert len(self.entries) == self.n
+        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+            raise ValueError(f"GFMatrix entries must form a {self.n} x {self.n} grid")
         for s in range(self.n):
-            assert len(self.entries[s]) == self.n
             for t in range(self.n):
                 parity = (t - s) % 2
-                assert all(
-                    e % 2 == parity for e in self.entries[s][t].exponents()
-                ), f"entry ({s + 1}, {t + 1}) breaks the q-parity invariant"
+                for e in self.entries[s][t].exponents():
+                    if e % 2 != parity:
+                        raise OddExponentPresent(e, entry=(s + 1, t + 1))
 
     def determinant(self) -> HalfPolynomial:
         return det_poly_matrix(self.entries)
@@ -99,8 +101,11 @@ def hilbert_series(
 ) -> HilbertSeries:
     """Hilbert series of the ladder determinantal ring cogenerated by m.
 
-    The recursive method is the default: it is dramatically faster on
-    boundaries with long diagonal stretches and never slower.
+    The recursive method is the default.  Both methods take polynomial
+    time.  The recursive one is faster on the bundled 14x16 example (about
+    2x) and on long diagonal stretches; the direct one is faster on
+    boundaries made of many short pieces (about 10x on a boundary that rises
+    by 2 at every column, a = 50).
     """
     cfg = endpoints_from_bivector(ladder, m)
     matrix = build_gf_matrix(ladder, cfg, method)

@@ -6,7 +6,9 @@ import pytest
 
 from laddergf import (
     Bivector,
+    GFMatrix,
     HalfPolynomial,
+    OddExponentPresent,
     TASpec,
     build_gf_matrix,
     endpoints_from_bivector,
@@ -35,6 +37,26 @@ def test_matrix_one_by_one():
     matrix = build_gf_matrix(lad, cfg)
     assert matrix.n == 1
     assert matrix.entries[0][0] == P([1, 0, 1])
+
+
+def test_matrix_rejects_bad_shape():
+    one = P.one()
+    with pytest.raises(ValueError):
+        GFMatrix(2, ((one, P([0, 1])),))
+    with pytest.raises(ValueError):
+        GFMatrix(2, ((one, P([0, 1])), (P([0, 1]),)))
+
+
+def test_matrix_rejects_parity_break():
+    # entry (1, 2) has type 1 and must hold odd q-exponents only
+    with pytest.raises(OddExponentPresent) as err:
+        GFMatrix(2, ((P.one(), P([0, 1, 3])), (P([0, 1]), P.one())))
+    assert err.value.entry == (1, 2)
+    assert err.value.exponent == 2
+    with pytest.raises(OddExponentPresent) as err:
+        GFMatrix(1, ((P([1, 1]),),))
+    assert err.value.entry == (1, 1)
+    assert err.value.exponent == 1
 
 
 def test_matrix_entries_match_oracle():
