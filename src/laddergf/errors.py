@@ -66,7 +66,10 @@ class InstanceTooLarge(LadderError):
 
 
 class MismatchFound(LadderError):
-    """Cross-method verification found two results that differ."""
+    """Two computations that must agree differ: two evaluation methods in a
+    cross-method verification, or the path enumerator's two containment
+    tests (by NE-turns and by all points) on a region that is not an upper
+    ladder."""
 
 
 class OddExponentPresent(LadderError):

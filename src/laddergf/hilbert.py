@@ -53,7 +53,24 @@ class GFMatrix:
                         raise OddExponentPresent(e, entry=(s + 1, t + 1))
 
     def determinant(self) -> HalfPolynomial:
-        return det_poly_matrix(self.entries)
+        """The determinant, computed over z = q^2.
+
+        Multiplying row s and column t (0-based) by q^(s mod 2) and
+        q^(t mod 2) makes every exponent even, by the parity invariant, so
+        the matrix becomes one over Z[z] of half the degree.  Its
+        determinant, from ``det_poly_matrix`` in O(n^3) packed-integer
+        products, is z^(n // 2) times the wanted one, spread back to q here.
+        """
+        n = self.n
+        in_z = [
+            [HalfPolynomial(((0,) * (s % 2 + t % 2) + entry.coeffs)[::2])
+             for t, entry in enumerate(row)]
+            for s, row in enumerate(self.entries)
+        ]
+        z_coeffs = det_poly_matrix(in_z).coeffs[n // 2:]
+        q_coeffs = [0] * (2 * len(z_coeffs))
+        q_coeffs[::2] = z_coeffs
+        return HalfPolynomial(q_coeffs)
 
 
 def build_gf_matrix(

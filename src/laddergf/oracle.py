@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, InstanceTooLarge
+from .errors import CapExceeded, InstanceTooLarge, MismatchFound
 from .genfun import TASpec
 from .model import LadderFunction, LatticePoint, as_point
 from .polyring import HalfPolynomial
@@ -140,8 +140,9 @@ def enumerate_path_families(
 
     Path i must run from starts[i] to ends[i] with every NE-turn inside the
     ladder region; families must be pairwise point-disjoint, endpoints
-    included.  As a self-check, each candidate path is asserted to lie in
-    the region exactly when its turns do (true on upper ladders).
+    included.  As a self-check, each candidate path must lie in the region
+    exactly when its turns do (true on upper ladders); MismatchFound is
+    raised otherwise.
     """
     pts_s = [as_point(p) for p in starts]
     pts_e = [as_point(p) for p in ends]
@@ -162,10 +163,11 @@ def enumerate_path_families(
             turns = ne_turns(path)
             turns_inside = all(ladder.contains(t) for t in turns)
             path_inside = all(ladder.contains(p) for p in path.points())
-            assert turns_inside == path_inside, (
-                "containment mismatch: on an upper ladder a path lies inside "
-                "exactly when its NE-turns do"
-            )
+            if turns_inside != path_inside:
+                raise MismatchFound(
+                    f"containment mismatch for the path from {A} to {E}: on an "
+                    "upper ladder a path lies inside exactly when its NE-turns do"
+                )
             if turns_inside:
                 admissible.append((frozenset(path.points()), len(turns)))
         per_path.append(admissible)

@@ -3,7 +3,9 @@
 Generating functions for two-rowed arrays live in Z[q]: an array of size m
 contributes q^m = z^(m/2), and only the fully assembled determinant is a
 genuine power series in z.  Coefficients are Python ints, so nothing ever
-overflows or rounds.
+overflows or rounds.  Determinants are taken by fraction-free elimination
+on integers that pack whole polynomials (Kronecker substitution), in O(n^3)
+integer products.
 
 Everything here is immutable and pure; concurrent callers need no locks.
 """
@@ -189,34 +191,60 @@ def poly_mul(p: HalfPolynomial, r: HalfPolynomial) -> HalfPolynomial:
 
 
 def det_poly_matrix(rows: Sequence[Sequence[HalfPolynomial]]) -> HalfPolynomial:
-    """Determinant of a square matrix of polynomials, division-free.
+    """Determinant of a square matrix of polynomials, by fraction-free
+    elimination on Kronecker-packed integers.
 
-    Laplace expansion memoized over column subsets: the minor on rows
-    0..|S|-1 and columns S is computed once per subset, giving O(2^n * n)
-    polynomial multiplications.  That is tiny for the n <= ~10 matrices that
-    arise here, and it avoids exact polynomial division entirely.
+    Hadamard's inequality bounds every coefficient of the determinant by
+    H = isqrt(prod_s sum_t L1(entry_st)^2) + 1, where L1 is the sum of
+    absolute coefficient values.  With 2^(K-1) > H, each entry is packed
+    into the integer entry(2^K); the integer determinant, by Bareiss
+    elimination with exact ``//`` and a row swap on a zero pivot, is the
+    polynomial determinant evaluated at 2^K; and its balanced base-2^K
+    digits are the coefficients.  O(n^3) products of integers about
+    n * K * (entry degree) bits long.  The variable is generic:
+    ``GFMatrix.determinant`` calls this on its matrix rewritten in z = q^2.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("matrix must be square and nonempty")
-    memo: dict[tuple[int, ...], HalfPolynomial] = {(): HalfPolynomial.one()}
-
-    def minor(cols: tuple[int, ...]) -> HalfPolynomial:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        r = len(cols) - 1
-        acc = HalfPolynomial.zero()
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            term = entry * minor(cols[:idx] + cols[idx + 1:])
-            acc = acc + (-term if (r + idx) % 2 else term)
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
+    hadamard_sq = 1
+    for r in rows:
+        hadamard_sq *= sum(sum(map(abs, p.coeffs)) ** 2 for p in r)
+    k = (math.isqrt(hadamard_sq) + 1).bit_length() + 1
+    m = []
+    for r in rows:
+        packed = []
+        for p in r:
+            v = 0
+            for c in reversed(p.coeffs):
+                v = (v << k) + c
+            packed.append(v)
+        m.append(packed)
+    sign, prev = 1, 1
+    for j in range(n - 1):
+        if not m[j][j]:
+            swap = next((i for i in range(j + 1, n) if m[i][j]), None)
+            if swap is None:
+                return HalfPolynomial.zero()
+            m[j], m[swap] = m[swap], m[j]
+            sign = -sign
+        pivot, top = m[j][j], m[j]
+        for i in range(j + 1, n):
+            row, lead = m[i], m[i][j]
+            for c in range(j + 1, n):
+                row[c] = (row[c] * pivot - lead * top[c]) // prev
+        prev = pivot
+    v = sign * m[n - 1][n - 1]
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    coeffs = []
+    while v:
+        digit = v & mask
+        v >>= k
+        if digit >= half:
+            digit -= 1 << k
+            v += 1
+        coeffs.append(digit)
+    return HalfPolynomial(coeffs)
 
 
 def to_z_polynomial(p: HalfPolynomial) -> HalfPolynomial:

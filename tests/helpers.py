@@ -2,7 +2,7 @@
 
 import random
 
-from laddergf import Bivector, LadderFunction, TASpec, validate_ladder
+from laddergf import Bivector, HalfPolynomial, LadderFunction, TASpec, validate_ladder
 
 FLAGSHIP_A = 13
 FLAGSHIP_B = 15
@@ -143,3 +143,27 @@ def random_endpoints(rng: random.Random, ladder: LadderFunction, n: int):
             continue
         return starts + [(a2x, a2y)], ends + [(e2x, rng.randint(a2y, hi))]
     return None
+
+
+def laplace_det(rows) -> HalfPolynomial:
+    """Determinant by Laplace expansion memoized over column subsets.
+
+    The minor on rows 0..|S|-1 and columns S is computed once per subset:
+    n * 2^(n-1) polynomial products and no division.  Kept here as an
+    independent oracle for the library's elimination.
+    """
+    n = len(rows)
+    memo = {(): HalfPolynomial.one()}
+
+    def minor(cols):
+        if cols not in memo:
+            r = len(cols) - 1
+            acc = HalfPolynomial.zero()
+            for idx, c in enumerate(cols):
+                if rows[r][c]:
+                    term = rows[r][c] * minor(cols[:idx] + cols[idx + 1:])
+                    acc = acc + (-term if (r + idx) % 2 else term)
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(n)))

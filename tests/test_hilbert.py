@@ -22,6 +22,7 @@ from laddergf import (
 from helpers import (
     flagship_bivector,
     flagship_ladder,
+    laplace_det,
     random_bivector,
     random_corollary_ladder,
     random_endpoints,
@@ -76,6 +77,23 @@ def test_matrix_entries_match_oracle():
                 )
                 assert matrix.entries[s - 1][t - 1] == enumerate_arrays(spec)
         done += 1
+
+
+def test_determinant_matches_laplace_oracle():
+    """GFMatrix.determinant against the Laplace expansion on pipeline
+    matrices, n = 1..7, on random ladders whose first column and flat top
+    block are both at least 7 points wide."""
+    rng = random.Random(37)
+    for n in range(1, 8):
+        for _ in range(3):
+            a, b = rng.randint(9, 14), rng.randint(9, 14)
+            tail = rng.randint(7, a - 1)
+            values = sorted(rng.randint(7, b + 1) for _ in range(a + 1 - tail))
+            lad = validate_ladder(a, b, values + [b + 1] * tail)
+            m = Bivector(tuple(sorted(rng.sample(range(1, values[0] + 1), n))),
+                         tuple(sorted(rng.sample(range(1, tail + 1), n))))
+            matrix = build_gf_matrix(lad, endpoints_from_bivector(lad, m))
+            assert matrix.determinant() == laplace_det(matrix.entries), (lad.values, m)
 
 
 def test_path_gf_single_trivial():

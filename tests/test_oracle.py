@@ -10,6 +10,7 @@ from laddergf import (
     InstanceTooLarge,
     LatticePath,
     LatticePoint,
+    MismatchFound,
     PathFamily,
     TASpec,
     enumerate_arrays,
@@ -106,6 +107,19 @@ def test_family_guard():
     lad = validate_ladder(8, 8, [9] * 9)
     with pytest.raises(InstanceTooLarge):
         enumerate_path_families(lad, [(0, 0)], [(8, 8)], max_candidates=10)
+
+
+class _NotAnUpperLadder:
+    """Region without the point (1, 0): the path E, N leaves it, though it
+    has no NE-turn."""
+
+    def contains(self, point):
+        return tuple(point) != (1, 0)
+
+
+def test_family_containment_mismatch_raises():
+    with pytest.raises(MismatchFound, match="containment mismatch"):
+        enumerate_path_families(_NotAnUpperLadder(), [(0, 0)], [(1, 1)])
 
 
 def test_single_path_equals_array_enumeration():

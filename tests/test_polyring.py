@@ -108,13 +108,51 @@ def _leibniz(rows):
     return total
 
 
+def _random_poly(rng, bits):
+    """Zero one time in four; else 1..6 coefficients in [-2^bits, 2^bits]."""
+    if rng.random() < 0.25:
+        return P.zero()
+    span = 1 << bits
+    return P([rng.randint(-span, span) for _ in range(rng.randint(1, 6))])
+
+
 def test_det_matches_leibniz():
-    rng = random.Random(99)
-    for _ in range(25):
-        rows = [
-            [P([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]) for _ in range(3)]
-            for _ in range(3)
-        ]
+    """Random n x n matrices, n = 1..5: zero entries, zero leading entries
+    of the first column (row swaps), repeated rows (singular), both
+    q-parities in one entry, negative and ~200-bit coefficients."""
+    rng = random.Random(7)
+    for n in range(1, 6):
+        for case in range(12):
+            bits = 200 if case % 3 == 2 else 2
+            rows = [[_random_poly(rng, bits) for _ in range(n)] for _ in range(n)]
+            if case % 4 == 1:
+                for r in range(rng.randint(1, n)):
+                    rows[r][0] = P.zero()
+            want = _leibniz(rows)
+            assert det_poly_matrix(rows) == want, (n, case)
+            if n > 1:
+                rows[rng.randrange(1, n)] = list(rows[0])
+                assert det_poly_matrix(rows) == P.zero() == _leibniz(rows)
+
+
+def test_det_row_swaps():
+    one, zero = P.one(), P.zero()
+    assert det_poly_matrix([[zero, one], [one, zero]]) == -one
+    # the second pivot vanishes only after the first elimination step
+    rows = [[one, one, zero], [one, one, one], [zero, one, P([1, 1])]]
+    assert det_poly_matrix(rows) == _leibniz(rows) == -one
+    # a zero column leaves no pivot at all
+    rows = [[one, zero, one], [P([0, 2]), zero, one], [one, zero, zero]]
+    assert det_poly_matrix(rows) == zero
+
+
+def test_det_meets_hadamard_bound():
+    """A Sylvester-Hadamard matrix reaches Hadamard's bound exactly."""
+    h4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    for c in (1, 2**200 - 1, -(2**200) + 3):
+        rows = [[P([c * x]) for x in r] for r in h4]
+        assert det_poly_matrix(rows) == P([16 * c**4])
+        rows = [[P([c * x, 0, -c * x]) for x in r] for r in h4]
         assert det_poly_matrix(rows) == _leibniz(rows)
 
 
