@@ -22,7 +22,12 @@ Two evaluation strategies are provided:
 * ``gf_recursive`` -- peel the rightmost piece of the boundary (horizontal
   run or diagonal staircase run) and recurse, with closed binomial forms at
   single-piece base cases.  A whole diagonal piece costs it one closed form
-  instead of one interval per column.
+  instead of one interval per column.  The recursion computes on packed
+  integers, each value its generating function at q = 2^k: every
+  coefficient counts arrays whose rows are subsets of ranges holding W
+  slots in all, so it is a nonnegative integer at most 2^W, and with
+  k = W + 1 the base-2^k digits are the coefficients, never carrying or
+  borrowing through the engine's sums, products and set differences.
 
 Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
 before analysing its shape; values outside that window constrain nothing,
@@ -32,7 +37,7 @@ so the clamp preserves the array set while merging irrelevant pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal
 
 from .errors import (
     EndpointOutsideLadder,
@@ -318,8 +323,64 @@ def gf_direct(spec: TASpec) -> HalfPolynomial:
 # the border-peeling recursion
 # ---------------------------------------------------------------------------
 
+def _row_slots(spec: TASpec) -> int:
+    """W = |[alpha_1, eps_1]| + |[alpha_2, eps_2]|, empty ranges counting 0.
+
+    An array of the spec's set is a pair of subsets of these two ranges, so
+    the set has at most 2^W arrays, and every coefficient is at most 2^W.
+    """
+    return max(0, spec.end.x - spec.start.x + 1) + max(0, spec.end.y - spec.start.y + 1)
+
+
+def _pack(p: HalfPolynomial, k: int) -> int:
+    """p evaluated at q = 2^k, by Horner shifts.
+
+    Raises ValueError unless every coefficient is a base-2^k digit
+    (0 <= c < 2^k): anything else would spill into its neighbours.
+    """
+    v = 0
+    for c in reversed(p.coeffs):
+        if c < 0 or c >> k:
+            raise ValueError(f"coefficient {c} is not a base-2^{k} digit")
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> HalfPolynomial:
+    """The polynomial whose base-2^k digits are v's; inverse of ``_pack``.
+
+    Raises ValueError on a negative v, which no digit string represents,
+    and on k < 1, which has no digits to read.
+    """
+    if v < 0 or k < 1:
+        raise ValueError(f"cannot read packed value {v} in base 2^{k}")
+    mask = (1 << k) - 1
+    coeffs = []
+    while v:
+        coeffs.append(v & mask)
+        v >>= k
+    return HalfPolynomial(coeffs)
+
+
 class _Engine:
-    """Memoized recursion over one fixed ladder.
+    """Memoized recursion over one fixed ladder, on packed integers.
+
+    Every value the engine computes, memoizes and combines is one
+    nonnegative int: the generating function evaluated at q = 2^k, k fixed
+    per engine.  A product of generating functions is then one big-int
+    product, a sum one addition, a factor q^j a shift by k*j bits, and the
+    zero test ``not v``.  This is exact, with no carry or borrow between
+    packed digits, as long as every coefficient of every value stays in
+    [0, 2^k).  Each value counts arrays whose rows are subsets of its two
+    ranges, and every sub-problem's ranges lie inside its caller's (the
+    left and right parts of the peel, the boundary terms, and the
+    alpha_1 + 1 of the pinned-start difference), so every coefficient of
+    every value, partial sum and product is a count of a subset of the
+    top-level set: nonnegative and at most 2^W (``_row_slots``), W the
+    largest over the specs the engine serves.  So k = W + 1.  The
+    pinned-start difference is a set difference, nonnegative digit by
+    digit.  Base cases are the closed forms above, packed by ``_pack``,
+    which rejects a coefficient outside [0, 2^k).
 
     The boundary clamped into [alpha_2, eps_2 + 1] is a function of the
     numeric parameters alone, so the memo key is just the parameter tuple.
@@ -328,11 +389,25 @@ class _Engine:
     shapes exceed every admissible second-row entry, constraining nothing.
     """
 
-    def __init__(self, ladder: LadderFunction):
+    def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
         self.ladder = ladder
-        self.memo: dict[tuple, HalfPolynomial] = {}
-        self.star_memo: dict[tuple, HalfPolynomial] = {}
+        self.k = max(map(_row_slots, specs)) + 1
+        self.memo: dict[tuple, int] = {}
+        self.star_memo: dict[tuple, int] = {}
         self.diagonal_fallbacks = 0
+
+    def gf(self, spec: TASpec, star: bool = False) -> HalfPolynomial:
+        """The generating function of spec (pinned start if ``star``),
+        unpacked; spec must be no wider than those the engine was made for."""
+        if _row_slots(spec) >= self.k:
+            raise PreconditionViolated(
+                f"spec spans {_row_slots(spec)} row slots; the engine packs "
+                f"at most {self.k - 1}"
+            )
+        ev = self.eval_star if star else self.eval
+        return _unpack(
+            ev(spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d), self.k
+        )
 
     def _pieces(self, a1, a2, e1, e2) -> list[BorderPiece]:
         f = self.ladder.value
@@ -355,7 +430,7 @@ class _Engine:
             return True  # every second row is too short to reach a pair
         return e2 - d < self.ladder.value(a1)
 
-    def eval(self, l, a1, a2, e1, e2, d) -> HalfPolynomial:
+    def eval(self, l, a1, a2, e1, e2, d) -> int:
         key = (l, a1, a2, e1, e2, d)
         cached = self.memo.get(key)
         if cached is not None:
@@ -364,40 +439,34 @@ class _Engine:
         self.memo[key] = res
         return res
 
-    def _eval(self, l, a1, a2, e1, e2, d) -> HalfPolynomial:
+    def _eval(self, l, a1, a2, e1, e2, d) -> int:
         alpha, eps = LatticePoint(a1, a2), LatticePoint(e1, e2)
         if e1 < a1 or self._vacuous(l, a1, a2, e1, e2, d):
-            return gf_trivial(l, alpha, eps)
+            return _pack(gf_trivial(l, alpha, eps), self.k)
         pieces = self._pieces(a1, a2, e1, e2)
         if len(pieces) == 1:
             piece = pieces[0]
             if piece.kind == "horizontal":
-                return _gf_horizontal(l, a1, a2, e1, e2, piece.level, d)
+                return _pack(_gf_horizontal(l, a1, a2, e1, e2, piece.level, d), self.k)
             if e1 + piece.level + 1 + d >= e2:
-                return gf_diagonal(l, alpha, eps, piece.level, d)
+                return _pack(gf_diagonal(l, alpha, eps, piece.level, d), self.k)
             # reflection hypothesis fails: fall back to the honest multi-sum
             self.diagonal_fallbacks += 1
-            return _direct_sum(self.ladder.value, l, a1, a2, e1, e2, d)
+            return _pack(_direct_sum(self.ladder.value, l, a1, a2, e1, e2, d), self.k)
         x = pieces[-2].x_hi
         fx = min(max(self.ladder.value(x), a2), e2 + 1)
-        acc = HalfPolynomial.zero()
+        acc = 0
         for j in range(x + 1, e1 + 1):
             left = self.eval(l + d, a1, a2, j - 1, fx - 1, 0)
-            if left.is_zero():
-                continue
-            right = self.eval_star(-d, j, fx, e1, e2, d)
-            if not right.is_zero():
-                acc = acc + left * right
+            if left:
+                acc += left * self.eval_star(-d, j, fx, e1, e2, d)
         for e in range(0, d + 1):
             c = binomial(e2 - fx + 1, d - e)
-            if not c:
-                continue
-            left = self.eval(l + d - e, a1, a2, e1, fx - 1, e)
-            if not left.is_zero():
-                acc = acc + (left * c).shifted(d - e)
+            if c:
+                acc += (self.eval(l + d - e, a1, a2, e1, fx - 1, e) * c) << (self.k * (d - e))
         return acc
 
-    def eval_star(self, l, a1, a2, e1, e2, d) -> HalfPolynomial:
+    def eval_star(self, l, a1, a2, e1, e2, d) -> int:
         key = (l, a1, a2, e1, e2, d)
         cached = self.star_memo.get(key)
         if cached is not None:
@@ -406,17 +475,19 @@ class _Engine:
         self.star_memo[key] = res
         return res
 
-    def _eval_star(self, l, a1, a2, e1, e2, d) -> HalfPolynomial:
+    def _eval_star(self, l, a1, a2, e1, e2, d) -> int:
         alpha, eps = LatticePoint(a1, a2), LatticePoint(e1, e2)
         if self._vacuous(l, a1, a2, e1, e2, d):
-            return gf_star_trivial(l, alpha, eps)
+            return _pack(gf_star_trivial(l, alpha, eps), self.k)
         pieces = self._pieces(a1, a2, e1, e2)
         if len(pieces) == 1:
             piece = pieces[0]
             if piece.kind == "horizontal":
-                return _gf_horizontal(l, a1, a2, e1, e2, piece.level, d, star=True)
+                return _pack(
+                    _gf_horizontal(l, a1, a2, e1, e2, piece.level, d, star=True), self.k
+                )
             if e1 + piece.level + 1 + d >= e2:
-                return gf_star_diagonal(l, alpha, eps, piece.level, d)
+                return _pack(gf_star_diagonal(l, alpha, eps, piece.level, d), self.k)
         # pinned first entry = set difference of two unrestricted-start sets
         return self.eval(l, a1, a2, e1, e2, d) - self.eval(l, a1 + 1, a2, e1, e2, d)
 
@@ -428,7 +499,7 @@ def _require_recursive_pre(spec: TASpec) -> None:
         )
 
 
-def gf_recursive(spec: TASpec, _engine: _Engine | None = None) -> HalfPolynomial:
+def gf_recursive(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by border peeling.
 
     Splits at the last interior piece boundary x: arrays decompose by the
@@ -438,20 +509,14 @@ def gf_recursive(spec: TASpec, _engine: _Engine | None = None) -> HalfPolynomial
     the closed forms above.
     """
     _require_recursive_pre(spec)
-    eng = _engine if _engine is not None else _Engine(spec.ladder)
-    return eng.eval(
-        spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d
-    )
+    return _Engine(spec.ladder, [spec]).gf(spec)
 
 
-def gf_star_recursive(spec: TASpec, _engine: _Engine | None = None) -> HalfPolynomial:
+def gf_star_recursive(spec: TASpec) -> HalfPolynomial:
     """Border peeling for arrays whose first row starts exactly at alpha_1."""
     _require_recursive_pre(spec)
     if spec.start.x > spec.end.x:
         raise StarRequiresNonemptyFirstColumn(
             f"alpha_1 = {spec.start.x} > eps_1 = {spec.end.x}"
         )
-    eng = _engine if _engine is not None else _Engine(spec.ladder)
-    return eng.eval_star(
-        spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d
-    )
+    return _Engine(spec.ladder, [spec]).gf(spec, star=True)

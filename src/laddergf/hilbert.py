@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OddExponentPresent
-from .genfun import TASpec, _Engine, gf_direct, gf_recursive
+from .genfun import TASpec, _Engine, gf_direct
 from .model import (
     Bivector,
     EndpointConfig,
@@ -76,28 +76,32 @@ class GFMatrix:
 def build_gf_matrix(
     ladder: LadderFunction, cfg: EndpointConfig, method: str = "recursive"
 ) -> GFMatrix:
-    """Fill the determinant entries with the chosen evaluation method."""
+    """Fill the determinant entries with the chosen evaluation method.
+
+    The recursive method runs one engine over all n^2 entries, so that
+    entries share sub-results; its packing width comes from the widest.
+    """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     n = cfg.n
-    engine = _Engine(ladder) if method == "recursive" else None
-    rows = []
-    for s in range(1, n + 1):
-        row = []
-        for t in range(1, n + 1):
-            spec = TASpec(
+    specs = [
+        [
+            TASpec(
                 l=t - s,
                 start=cfg.shifted_starts[t - 1],
                 end=cfg.shifted_ends[s - 1],
                 d=s - 1,
                 ladder=ladder,
             )
-            if method == "recursive":
-                row.append(gf_recursive(spec, _engine=engine))
-            else:
-                row.append(gf_direct(spec))
-        rows.append(tuple(row))
-    return GFMatrix(n, tuple(rows))
+            for t in range(1, n + 1)
+        ]
+        for s in range(1, n + 1)
+    ]
+    if method == "recursive":
+        evaluate = _Engine(ladder, (spec for row in specs for spec in row)).gf
+    else:
+        evaluate = gf_direct
+    return GFMatrix(n, tuple(tuple(evaluate(spec) for spec in row) for row in specs))
 
 
 def path_gf(
@@ -120,8 +124,8 @@ def hilbert_series(
 
     The recursive method is the default.  Both methods take polynomial
     time.  The recursive one is faster on the bundled 14x16 example (about
-    2x) and on long diagonal stretches; the direct one is faster on
-    boundaries made of many short pieces (about 10x on a boundary that rises
+    4x) and on long diagonal stretches; the direct one is faster on
+    boundaries made of many short pieces (about 5x on a boundary that rises
     by 2 at every column, a = 50).
     """
     cfg = endpoints_from_bivector(ladder, m)

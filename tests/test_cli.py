@@ -113,8 +113,8 @@ def test_verify_small_instance(capsys, small_instance):
 def test_verify_detects_corruption(capsys, small_instance, monkeypatch):
     real = laddergf.genfun.gf_recursive
 
-    def corrupted(spec, _engine=None):
-        return real(spec, _engine=_engine) + HalfPolynomial.monomial(2, 1)
+    def corrupted(spec):
+        return real(spec) + HalfPolynomial.monomial(2, 1)
 
     monkeypatch.setattr(laddergf.genfun, "gf_recursive", corrupted)
     code, _, err = run(capsys, ["verify", "--input", small_instance, "--scope", "tagf"])

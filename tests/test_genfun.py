@@ -26,6 +26,7 @@ from laddergf import (
     partition_border,
     validate_ladder,
 )
+from laddergf.genfun import _Engine, _pack, _unpack
 from helpers import flagship_ladder, random_ladder, random_taspec_wide
 
 P = HalfPolynomial
@@ -224,6 +225,47 @@ def test_recursive_equals_trivial_form_on_trivial_ladders():
         e2 = rng.randint(a2 - 1, b)
         spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
         assert gf_recursive(spec) == gf_trivial(l, (a1, a2), (e1, e2), d)
+
+
+def test_recursive_packing_width_on_wide_ladders():
+    """Coefficients within 6 bits of 2^W, W = 60 row slots.
+
+    The engine packs each value at q = 2^(W + 1); the trivial ladder gives
+    the closed forms exactly, and a boundary step to the top from two rows
+    under it (binding for every d <= 2) sends the same spec through the
+    peel, whose products and sums must not carry.
+    """
+    a = b = 29
+    trivial = validate_ladder(a, b, [b + 1] * (a + 1))
+    step = validate_ladder(a, b, [b - 2] * a + [b + 1])
+    for d in range(0, 3):
+        for l in range(-d, 3):
+            spec = TASpec(l, (0, 0), (a, b), d, trivial)
+            widest = max(gf_trivial(l, (0, 0), (a, b), d).coeffs)
+            assert widest.bit_length() >= 2 * (a + 1) - 6
+            assert gf_recursive(spec) == gf_trivial(l, (0, 0), (a, b), d)
+            assert gf_star_recursive(spec) == gf_star_trivial(l, (0, 0), (a, b), d)
+            spec = TASpec(l, (0, 0), (a, b), d, step)
+            shifted = TASpec(l, (1, 0), (a, b), d, step)
+            assert gf_recursive(spec) == gf_direct(spec), (l, d)
+            assert gf_star_recursive(spec) == gf_direct(spec) - gf_direct(shifted), (l, d)
+
+
+def test_packing_helpers_reject_bad_input():
+    assert _unpack(_pack(P([3, 0, 7]), 3), 3) == P([3, 0, 7])
+    assert _pack(P.zero(), 1) == 0 and _unpack(0, 1) == P.zero()
+    with pytest.raises(ValueError):
+        _pack(P([1, -1]), 4)
+    with pytest.raises(ValueError):
+        _pack(P([16]), 4)
+    with pytest.raises(ValueError):
+        _unpack(-1, 4)
+    with pytest.raises(ValueError):
+        _unpack(1, 0)
+    lad = validate_ladder(3, 3, [1, 2, 3, 4])
+    engine = _Engine(lad, [TASpec(0, (0, 0), (1, 1), 0, lad)])
+    with pytest.raises(PreconditionViolated):
+        engine.gf(TASpec(0, (0, 0), (3, 3), 0, lad))
 
 
 def test_star_recursive():

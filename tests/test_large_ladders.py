@@ -9,7 +9,7 @@ import hashlib
 import random
 import time
 
-from laddergf import Bivector, hilbert_series, validate_ladder
+from laddergf import Bivector, hilbert_series, path_gf, validate_ladder
 from helpers import random_bivector
 
 CLIFF_MINOR = Bivector((1, 3, 4, 6), (1, 3, 5, 8))
@@ -125,3 +125,17 @@ def test_engines_agree_on_large_ladders():
         rec = hilbert_series(lad, m, "recursive")
         assert hilbert_series(lad, m, "direct") == rec, (lad.values, m)
         assert rec.z_coefficients[0] == 1
+
+
+def test_many_pieces_boundary():
+    """A boundary rising by 2 at every column (b = 2a + 1, f(x) = 2x + 2),
+    a = 30: one piece per column for the recursive engine.  Only 1 x 1
+    minors fit this boundary, so n = 2 runs as a path family."""
+    a = 30
+    lad = validate_ladder(a, 2 * a + 1, [2 * x + 2 for x in range(a + 1)])
+    t0 = time.perf_counter()
+    for m in (Bivector((1,), (1,)), Bivector((2,), (1,))):
+        assert hilbert_series(lad, m, "recursive") == hilbert_series(lad, m, "direct"), m
+    starts, ends = ((0, 1), (0, 0)), ((a - 1, 2 * a - 1), (a, 2 * a - 1))
+    assert path_gf(lad, starts, ends, "recursive") == path_gf(lad, starts, ends, "direct")
+    assert time.perf_counter() - t0 < 60.0
