@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .genfun import TASpec
-from .hilbert import hilbert_series, path_gf
+from .hilbert import hilbert_series, matrix_specs, path_gf
 from .model import (
     Bivector,
     EndpointConfig,
@@ -167,23 +167,6 @@ def _compare(name: str, left: HalfPolynomial, right: HalfPolynomial) -> None:
     raise MismatchFound(f"{name}: polynomials differ")  # pragma: no cover
 
 
-def _matrix_specs(instance: ProblemInstance) -> list[TASpec]:
-    cfg = _endpoint_config(instance)
-    specs = []
-    for s in range(1, cfg.n + 1):
-        for t in range(1, cfg.n + 1):
-            specs.append(
-                TASpec(
-                    l=t - s,
-                    start=cfg.shifted_starts[t - 1],
-                    end=cfg.shifted_ends[s - 1],
-                    d=s - 1,
-                    ladder=instance.ladder,
-                )
-            )
-    return specs
-
-
 def _array_candidates(spec: TASpec) -> int:
     from math import comb
 
@@ -199,7 +182,8 @@ def _array_candidates(spec: TASpec) -> int:
 def cmd_verify(instance: ProblemInstance, scope: str) -> dict:
     checks = []
     if scope in ("tagf", "all"):
-        for i, spec in enumerate(_matrix_specs(instance)):
+        specs = matrix_specs(instance.ladder, _endpoint_config(instance))
+        for i, spec in enumerate(spec for row in specs for spec in row):
             if _array_candidates(spec) > ORACLE_ARRAY_GUARD:
                 raise InstanceTooLarge(
                     f"matrix entry {i}: too many candidate arrays for the oracle"
@@ -270,24 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, method=False):
         p.add_argument("--input", required=True, help="instance JSON file")
-        p.add_argument(
-            "--method",
-            choices=("direct", "recursive", "both"),
-            default="recursive",
-        )
+        if method:
+            p.add_argument(
+                "--method",
+                choices=("direct", "recursive", "both"),
+                default="recursive",
+            )
         p.add_argument("--format", choices=("json", "pretty"), default="json")
 
     p_hilbert = sub.add_parser("hilbert", help="Hilbert series from a bivector")
-    common(p_hilbert)
+    common(p_hilbert, method=True)
     p_hilbert.add_argument(
         "--series-terms", type=int, default=0,
         help="also print this many Hilbert function values",
     )
 
     p_pathgf = sub.add_parser("pathgf", help="turn generating function from endpoints")
-    common(p_pathgf)
+    common(p_pathgf, method=True)
 
     p_verify = sub.add_parser("verify", help="cross-check methods against brute force")
     common(p_verify)

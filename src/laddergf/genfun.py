@@ -22,7 +22,12 @@ Two evaluation strategies are provided:
 * ``gf_recursive`` -- peel the rightmost piece of the boundary (horizontal
   run or diagonal staircase run) and recurse, with closed binomial forms at
   single-piece base cases.  A whole diagonal piece costs it one closed form
-  instead of one interval per column.  The recursion computes on packed
+  instead of one interval per column.  It has one memo: a pinned-start set
+  (first row starting exactly at alpha_1) is the memoized difference of
+  the sets starting at alpha_1 and alpha_1 + 1.  A diagonal piece that
+  fails the reflection hypothesis is peeled at x = eps_1, because
+  second-row entries at or above f(eps_1) can only be the at most d
+  unpaired top ones; so it never calls the multi-sum.  It computes on packed
   integers, each value its generating function at q = 2^k: every
   coefficient counts arrays whose rows are subsets of ranges holding W
   slots in all, so it is a nonnegative integer at most 2^W, and with
@@ -218,7 +223,7 @@ def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
     return HalfPolynomial.from_dict(terms)
 
 
-def _gf_horizontal(l, a1, a2, e1, e2, h, d, star=False) -> HalfPolynomial:
+def _gf_horizontal(l, a1, a2, e1, e2, h, d) -> HalfPolynomial:
     """Constant boundary value h across the whole first-row range.
 
     The coupling b_s < h binds only for s <= k - d: the largest d entries of
@@ -229,12 +234,12 @@ def _gf_horizontal(l, a1, a2, e1, e2, h, d, star=False) -> HalfPolynomial:
 
     which collapses to the unrestricted form whenever h > eps_2.
     """
-    w1 = (e1 - a1) if star else (e1 - a1 + 1)
+    w1 = e1 - a1 + 1
     lo = min(e2, h - 1) - a2 + 1
     hi = e2 - max(h, a2) + 1
     terms = {}
-    for k in _k_range(l, w1, max(0, e2 - a2 + 1), star=star):
-        cb = binomial(w1, k + l - 1) if star else binomial(w1, k + l)
+    for k in _k_range(l, w1, max(0, e2 - a2 + 1), star=False):
+        cb = binomial(w1, k + l)
         if not cb:
             continue
         hk = 0
@@ -372,15 +377,26 @@ class _Engine:
     zero test ``not v``.  This is exact, with no carry or borrow between
     packed digits, as long as every coefficient of every value stays in
     [0, 2^k).  Each value counts arrays whose rows are subsets of its two
-    ranges, and every sub-problem's ranges lie inside its caller's (the
-    left and right parts of the peel, the boundary terms, and the
-    alpha_1 + 1 of the pinned-start difference), so every coefficient of
-    every value, partial sum and product is a count of a subset of the
-    top-level set: nonnegative and at most 2^W (``_row_slots``), W the
-    largest over the specs the engine serves.  So k = W + 1.  The
-    pinned-start difference is a set difference, nonnegative digit by
-    digit.  Base cases are the closed forms above, packed by ``_pack``,
+    ranges, and every sub-problem's ranges lie inside its caller's, so
+    every coefficient of every value, partial sum and product is a count
+    of a subset of the top-level set: nonnegative and at most 2^W
+    (``_row_slots``), W the largest over the specs the engine serves.  So
+    k = W + 1.  Base cases are the closed forms above, packed by ``_pack``,
     which rejects a coefficient outside [0, 2^k).
+
+    One recursion fills one memo.  A pinned-start set, whose first row
+    starts exactly at alpha_1, is the set starting at alpha_1 minus its
+    subset starting at alpha_1 + 1: a difference of two memoized values,
+    nonnegative digit by digit.  The peel runs its tail start j downwards
+    and carries the value at j + 1, so each step looks up one new value.
+
+    A single diagonal piece that fails the reflection hypothesis
+    (eps_1 + D + 1 + d < eps_2) is peeled at x = eps_1.  A second-row entry
+    at or above f(eps_1) exceeds the boundary at every first-row entry, so
+    it can only be one of the at most d unpaired top entries; splitting
+    those off leaves sub-problems with eps_2 = f(eps_1) - 1, which satisfy
+    the hypothesis.  So the engine never calls the direct multi-sum, and
+    ``direct == recursive`` checks two independent computations.
 
     The boundary clamped into [alpha_2, eps_2 + 1] is a function of the
     numeric parameters alone, so the memo key is just the parameter tuple.
@@ -393,8 +409,6 @@ class _Engine:
         self.ladder = ladder
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
-        self.star_memo: dict[tuple, int] = {}
-        self.diagonal_fallbacks = 0
 
     def gf(self, spec: TASpec, star: bool = False) -> HalfPolynomial:
         """The generating function of spec (pinned start if ``star``),
@@ -404,10 +418,11 @@ class _Engine:
                 f"spec spans {_row_slots(spec)} row slots; the engine packs "
                 f"at most {self.k - 1}"
             )
-        ev = self.eval_star if star else self.eval
-        return _unpack(
-            ev(spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d), self.k
-        )
+        l, a1, a2, e1, e2, d = spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d
+        v = self.eval(l, a1, a2, e1, e2, d)
+        if star:
+            v -= self.eval(l, a1 + 1, a2, e1, e2, d)
+        return _unpack(v, self.k)
 
     def _pieces(self, a1, a2, e1, e2) -> list[BorderPiece]:
         f = self.ladder.value
@@ -444,52 +459,31 @@ class _Engine:
         if e1 < a1 or self._vacuous(l, a1, a2, e1, e2, d):
             return _pack(gf_trivial(l, alpha, eps), self.k)
         pieces = self._pieces(a1, a2, e1, e2)
-        if len(pieces) == 1:
-            piece = pieces[0]
-            if piece.kind == "horizontal":
-                return _pack(_gf_horizontal(l, a1, a2, e1, e2, piece.level, d), self.k)
-            if e1 + piece.level + 1 + d >= e2:
-                return _pack(gf_diagonal(l, alpha, eps, piece.level, d), self.k)
-            # reflection hypothesis fails: fall back to the honest multi-sum
-            self.diagonal_fallbacks += 1
-            return _pack(_direct_sum(self.ladder.value, l, a1, a2, e1, e2, d), self.k)
-        x = pieces[-2].x_hi
+        if len(pieces) > 1:
+            x = pieces[-2].x_hi
+        elif pieces[0].kind == "horizontal":
+            return _pack(_gf_horizontal(l, a1, a2, e1, e2, pieces[0].level, d), self.k)
+        elif e1 + pieces[0].level + 1 + d >= e2:
+            return _pack(gf_diagonal(l, alpha, eps, pieces[0].level, d), self.k)
+        else:
+            x = e1  # reflection hypothesis fails: only boundary terms remain
         fx = min(max(self.ladder.value(x), a2), e2 + 1)
         acc = 0
-        for j in range(x + 1, e1 + 1):
+        # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
+        # start eps_1 + 1 the first row is empty and the d second-row entries
+        # in [f(x), eps_2] pair with nothing
+        above = binomial(e2 - fx + 1, d) << (self.k * d)
+        for j in range(e1, x, -1):
+            tail = self.eval(-d, j, fx, e1, e2, d)
             left = self.eval(l + d, a1, a2, j - 1, fx - 1, 0)
             if left:
-                acc += left * self.eval_star(-d, j, fx, e1, e2, d)
+                acc += left * (tail - above)
+            above = tail
         for e in range(0, d + 1):
             c = binomial(e2 - fx + 1, d - e)
             if c:
                 acc += (self.eval(l + d - e, a1, a2, e1, fx - 1, e) * c) << (self.k * (d - e))
         return acc
-
-    def eval_star(self, l, a1, a2, e1, e2, d) -> int:
-        key = (l, a1, a2, e1, e2, d)
-        cached = self.star_memo.get(key)
-        if cached is not None:
-            return cached
-        res = self._eval_star(l, a1, a2, e1, e2, d)
-        self.star_memo[key] = res
-        return res
-
-    def _eval_star(self, l, a1, a2, e1, e2, d) -> int:
-        alpha, eps = LatticePoint(a1, a2), LatticePoint(e1, e2)
-        if self._vacuous(l, a1, a2, e1, e2, d):
-            return _pack(gf_star_trivial(l, alpha, eps), self.k)
-        pieces = self._pieces(a1, a2, e1, e2)
-        if len(pieces) == 1:
-            piece = pieces[0]
-            if piece.kind == "horizontal":
-                return _pack(
-                    _gf_horizontal(l, a1, a2, e1, e2, piece.level, d, star=True), self.k
-                )
-            if e1 + piece.level + 1 + d >= e2:
-                return _pack(gf_star_diagonal(l, alpha, eps, piece.level, d), self.k)
-        # pinned first entry = set difference of two unrestricted-start sets
-        return self.eval(l, a1, a2, e1, e2, d) - self.eval(l, a1 + 1, a2, e1, e2, d)
 
 
 def _require_recursive_pre(spec: TASpec) -> None:
@@ -505,8 +499,12 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
     Splits at the last interior piece boundary x: arrays decompose by the
     first second-row entry reaching f(x) into a prefix below f(x) paired
     with a pinned-start tail on the final piece, plus the boundary terms in
-    which at most d entries sit at or above f(x) unpaired.  Base cases are
-    the closed forms above.
+    which at most d entries sit at or above f(x) unpaired.  The tail is the
+    memoized difference of the tails starting at j and j + 1.  A single
+    diagonal piece that fails the reflection hypothesis is peeled at
+    x = eps_1: second-row entries at or above f(eps_1) can only be the at
+    most d unpaired top ones, so only boundary terms remain.  Base cases
+    are the closed forms above; the direct multi-sum is never called.
     """
     _require_recursive_pre(spec)
     return _Engine(spec.ladder, [spec]).gf(spec)

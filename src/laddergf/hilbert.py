@@ -73,35 +73,36 @@ class GFMatrix:
         return HalfPolynomial(q_coeffs)
 
 
+def matrix_specs(ladder: LadderFunction, cfg: EndpointConfig) -> list[list[TASpec]]:
+    """The array sets of the determinant, row by row: entry (s, t), 1-based,
+    has type t - s, offset s - 1, the t-th shifted start and the s-th
+    shifted end."""
+    return [
+        [
+            TASpec(t - s, cfg.shifted_starts[t - 1], cfg.shifted_ends[s - 1], s - 1, ladder)
+            for t in range(1, cfg.n + 1)
+        ]
+        for s in range(1, cfg.n + 1)
+    ]
+
+
 def build_gf_matrix(
     ladder: LadderFunction, cfg: EndpointConfig, method: str = "recursive"
 ) -> GFMatrix:
-    """Fill the determinant entries with the chosen evaluation method.
+    """Fill the determinant entries of ``matrix_specs`` with the chosen
+    evaluation method.
 
     The recursive method runs one engine over all n^2 entries, so that
     entries share sub-results; its packing width comes from the widest.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    n = cfg.n
-    specs = [
-        [
-            TASpec(
-                l=t - s,
-                start=cfg.shifted_starts[t - 1],
-                end=cfg.shifted_ends[s - 1],
-                d=s - 1,
-                ladder=ladder,
-            )
-            for t in range(1, n + 1)
-        ]
-        for s in range(1, n + 1)
-    ]
+    specs = matrix_specs(ladder, cfg)
     if method == "recursive":
         evaluate = _Engine(ladder, (spec for row in specs for spec in row)).gf
     else:
         evaluate = gf_direct
-    return GFMatrix(n, tuple(tuple(evaluate(spec) for spec in row) for row in specs))
+    return GFMatrix(cfg.n, tuple(tuple(evaluate(spec) for spec in row) for row in specs))
 
 
 def path_gf(

@@ -122,6 +122,14 @@ def test_verify_detects_corruption(capsys, small_instance, monkeypatch):
     assert "differing coefficient" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_method_rejected_where_both_engines_run(capsys, small_instance, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", small_instance, "--method", "direct"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method direct" in capsys.readouterr().err
+
+
 def test_verify_guard_exits_4(capsys, tmp_path):
     path = write_instance(tmp_path, a=13, b=15, f=FLAGSHIP_F,
                           u=list(FLAGSHIP_U), v=list(FLAGSHIP_V))

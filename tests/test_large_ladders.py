@@ -9,6 +9,7 @@ import hashlib
 import random
 import time
 
+import laddergf.genfun
 from laddergf import Bivector, hilbert_series, path_gf, validate_ladder
 from helpers import random_bivector
 
@@ -108,20 +109,24 @@ def _climbing_ladder(rng: random.Random, style: str):
     return validate_ladder(a, b, values)
 
 
-def test_engines_agree_on_large_ladders():
-    """direct == recursive on 40 seeded queries with a, b in 20..30.
-
-    Half of the boundaries are diagonal-heavy, half have many pieces.  The
-    recursive engine still reaches the direct multi-sum through its
-    single-diagonal fallback, so on those sub-problems the two engines share
-    code; the check becomes fully independent only once the recursive
-    engine handles a diagonal piece that fails the reflection hypothesis by
-    itself.
-    """
+def _large_queries():
+    """40 seeded (ladder, minor) pairs with a, b in 20..30; half of the
+    boundaries are diagonal-heavy, half have many pieces."""
     rng = random.Random(2020)
     for k in range(40):
         lad = _climbing_ladder(rng, "diagonal" if k % 2 else "pieces")
-        m = random_bivector(rng, lad, nmax=4)
+        yield lad, random_bivector(rng, lad, nmax=4)
+
+
+def test_engines_agree_on_large_ladders():
+    """direct == recursive on the 40 large queries.
+
+    The recursive engine never calls the direct multi-sum (see
+    ``test_recursive_engine_never_calls_direct_sum``), so on these
+    diagonal-heavy and many-piece boundaries the two engines check each
+    other.
+    """
+    for lad, m in _large_queries():
         rec = hilbert_series(lad, m, "recursive")
         assert hilbert_series(lad, m, "direct") == rec, (lad.values, m)
         assert rec.z_coefficients[0] == 1
@@ -139,3 +144,21 @@ def test_many_pieces_boundary():
     starts, ends = ((0, 1), (0, 0)), ((a - 1, 2 * a - 1), (a, 2 * a - 1))
     assert path_gf(lad, starts, ends, "recursive") == path_gf(lad, starts, ends, "direct")
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_recursive_engine_never_calls_direct_sum(monkeypatch):
+    """With the direct multi-sum made to raise, the recursive engine still
+    answers the cliff ladders, whose last diagonal run fails the reflection
+    hypothesis, and the 40 large queries."""
+
+    def unavailable(*args):
+        raise RuntimeError("the recursive engine called the direct multi-sum")
+
+    monkeypatch.setattr(laddergf.genfun, "_direct_sum", unavailable)
+    for L in (9, 10, 11, 12, 14):
+        hs = hilbert_series(cliff_ladder(L), CLIFF_MINOR, "recursive")
+        assert hs.denom_exponent == 149, L
+        if L in CLIFF_PINS:
+            assert _digest(hs) == CLIFF_PINS[L], L
+    for lad, m in _large_queries():
+        assert hilbert_series(lad, m, "recursive").z_coefficients[0] == 1, (lad.values, m)
