@@ -66,8 +66,6 @@ from .polyring import (
     HilbertSeries,
     binomial,
     det_poly_matrix,
-    poly_add,
-    poly_mul,
     series_expand,
     to_z_polynomial,
 )
@@ -104,8 +102,6 @@ __all__ = [
     "ne_turns",
     "partition_border",
     "path_gf",
-    "poly_add",
-    "poly_mul",
     "series_expand",
     "to_z_polynomial",
     "validate_general_endpoints",

@@ -18,16 +18,19 @@ Two evaluation strategies are provided:
   [alpha_1, eps_1] into intervals of constant boundary value, one pair of
   summation indices per interval, evaluated as a dynamic program over the
   running entry counts of the two rows in time polynomial in the ladder.
+  It uses no closed form.
 
 * ``gf_recursive`` -- peel the rightmost piece of the boundary (horizontal
-  run or diagonal staircase run) and recurse, with closed binomial forms at
-  single-piece base cases.  A whole diagonal piece costs it one closed form
-  instead of one interval per column.  It has one memo: a pinned-start set
-  (first row starting exactly at alpha_1) is the memoized difference of
-  the sets starting at alpha_1 and alpha_1 + 1.  A diagonal piece that
-  fails the reflection hypothesis is peeled at x = eps_1, because
-  second-row entries at or above f(eps_1) can only be the at most d
-  unpaired top ones; so it never calls the multi-sum.  It computes on packed
+  run or diagonal staircase run) and recurse.  Its base cases are two
+  closed binomial forms: the unrestricted form, where the coupling cannot
+  bind, and the reflection form for one diagonal piece.  A whole diagonal
+  piece costs it one closed form instead of one interval per column.  It
+  has one memo: a pinned-start set (first row starting exactly at
+  alpha_1) is the memoized difference of the sets starting at alpha_1 and
+  alpha_1 + 1.  A single flat piece, and a diagonal piece that fails the
+  reflection hypothesis, are peeled at x = eps_1, because second-row
+  entries at or above f(eps_1) can only be the at most d unpaired top
+  ones.  So the two engines share no formula.  It computes on packed
   integers, each value its generating function at q = 2^k: every
   coefficient counts arrays whose rows are subsets of ranges holding W
   slots in all, so it is a nonnegative integer at most 2^W, and with
@@ -223,33 +226,6 @@ def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
     return HalfPolynomial.from_dict(terms)
 
 
-def _gf_horizontal(l, a1, a2, e1, e2, h, d) -> HalfPolynomial:
-    """Constant boundary value h across the whole first-row range.
-
-    The coupling b_s < h binds only for s <= k - d: the largest d entries of
-    the second row pair with no first-row entry and roam freely up to eps_2.
-    Splitting the second row at the value h gives, per k,
-
-        sum_{c=0..d} C(#slots below h, k - c) * C(#slots >= h, c),
-
-    which collapses to the unrestricted form whenever h > eps_2.
-    """
-    w1 = e1 - a1 + 1
-    lo = min(e2, h - 1) - a2 + 1
-    hi = e2 - max(h, a2) + 1
-    terms = {}
-    for k in _k_range(l, w1, max(0, e2 - a2 + 1), star=False):
-        cb = binomial(w1, k + l)
-        if not cb:
-            continue
-        hk = 0
-        for c in range(0, min(d, k) + 1):
-            hk += binomial(lo, k - c) * binomial(hi, c)
-        if cb * hk:
-            terms[2 * k + l] = cb * hk
-    return HalfPolynomial.from_dict(terms)
-
-
 # ---------------------------------------------------------------------------
 # the direct multi-sum
 # ---------------------------------------------------------------------------
@@ -271,12 +247,12 @@ def _direct_sum(fext: Callable[[int], int], l, a1, a2, e1, e2, d) -> HalfPolynom
     (e_i, f_i), so the sum runs forward over the blocks on a table mapping
     each pair to its summed weight: at most (eps_1 - alpha_1 + 2) *
     (eps_2 - alpha_2 + 2) pairs, each extended by (width + 1)(rise + 1)
-    steps per block, instead of one visit per summand.
+    steps per block, instead of one visit per summand.  An empty first row
+    (eps_1 < alpha_1) gives no block, and the top layer alone, with
+    threshold alpha_2, counts the second rows; so no closed form is needed.
     """
-    if e1 < a1:
-        return gf_trivial(l, LatticePoint(a1, a2), LatticePoint(e1, e2))
     g = [min(max(fext(x), a2), e2 + 1) for x in range(a1, e1 + 1)]
-    svals = [e1]
+    svals = [e1] if g else []
     for x in range(e1 - 1, a1 - 1, -1):
         if g[x - a1] != g[x - a1 + 1]:
             svals.append(x)
@@ -307,12 +283,15 @@ def _direct_sum(fext: Callable[[int], int], l, a1, a2, e1, e2, d) -> HalfPolynom
     )
 
 
+def _require_engine_pre(spec: TASpec) -> None:
+    """Both engines need l + d >= 0 (TASpec itself enforces d >= 0)."""
+    if spec.l + spec.d < 0:
+        raise PreconditionViolated(f"l + d = {spec.l + spec.d} must be >= 0")
+
+
 def gf_direct(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by the interval multi-sum."""
-    if spec.l + spec.d < 0:
-        raise PreconditionViolated(
-            f"l + d = {spec.l + spec.d} must be >= 0 for the multi-sum"
-        )
+    _require_engine_pre(spec)
     return _direct_sum(
         spec.ladder.value,
         spec.l,
@@ -381,8 +360,11 @@ class _Engine:
     every coefficient of every value, partial sum and product is a count
     of a subset of the top-level set: nonnegative and at most 2^W
     (``_row_slots``), W the largest over the specs the engine serves.  So
-    k = W + 1.  Base cases are the closed forms above, packed by ``_pack``,
-    which rejects a coefficient outside [0, 2^k).
+    k = W + 1.  Base cases are two closed forms, packed by ``_pack``, which
+    rejects a coefficient outside [0, 2^k): ``gf_trivial`` where
+    ``_vacuous`` finds that the coupling cannot bind (an empty first row
+    included), and ``gf_diagonal`` for one diagonal piece that meets the
+    reflection hypothesis (eps_1 + D + 1 + d >= eps_2).
 
     One recursion fills one memo.  A pinned-start set, whose first row
     starts exactly at alpha_1, is the set starting at alpha_1 minus its
@@ -390,12 +372,14 @@ class _Engine:
     nonnegative digit by digit.  The peel runs its tail start j downwards
     and carries the value at j + 1, so each step looks up one new value.
 
-    A single diagonal piece that fails the reflection hypothesis
-    (eps_1 + D + 1 + d < eps_2) is peeled at x = eps_1.  A second-row entry
-    at or above f(eps_1) exceeds the boundary at every first-row entry, so
-    it can only be one of the at most d unpaired top entries; splitting
-    those off leaves sub-problems with eps_2 = f(eps_1) - 1, which satisfy
-    the hypothesis.  So the engine never calls the direct multi-sum, and
+    Every other spec is peeled: at the last interior piece boundary, or at
+    x = eps_1 for a single flat piece at level h <= eps_2 or a single
+    diagonal piece that fails the hypothesis.  A second-row entry at or
+    above f(eps_1) exceeds the boundary at every first-row entry, so it can
+    only be one of the at most d unpaired top entries; splitting those off
+    leaves sub-problems with eps_2 = f(eps_1) - 1, which are vacuous under
+    a flat piece and satisfy the hypothesis under a diagonal one.  So the
+    engine shares no formula with the direct multi-sum, and
     ``direct == recursive`` checks two independent computations.
 
     The boundary clamped into [alpha_2, eps_2 + 1] is a function of the
@@ -428,14 +412,11 @@ class _Engine:
         f = self.ladder.value
         g = tuple(min(max(f(x), a2), e2 + 1) for x in range(a1, e1 + 1))
         pieces = _runs(g, a1)
-        while len(pieces) >= 2 and pieces[-1].kind == "horizontal" \
+        if len(pieces) >= 2 and pieces[-1].kind == "horizontal" \
                 and pieces[-1].level == e2 + 1:
             prev = pieces[-2]
             if prev.kind == "diagonal" and (prev.x_hi + 1) + prev.level + 1 >= e2 + 1:
-                pieces[-2] = BorderPiece(prev.x_lo, pieces[-1].x_hi, "diagonal", prev.level)
-                pieces.pop()
-            else:
-                break
+                pieces[-2:] = [BorderPiece(prev.x_lo, pieces[-1].x_hi, "diagonal", prev.level)]
         return pieces
 
     def _vacuous(self, l, a1, a2, e1, e2, d) -> bool:
@@ -456,17 +437,15 @@ class _Engine:
 
     def _eval(self, l, a1, a2, e1, e2, d) -> int:
         alpha, eps = LatticePoint(a1, a2), LatticePoint(e1, e2)
-        if e1 < a1 or self._vacuous(l, a1, a2, e1, e2, d):
+        if self._vacuous(l, a1, a2, e1, e2, d):
             return _pack(gf_trivial(l, alpha, eps), self.k)
         pieces = self._pieces(a1, a2, e1, e2)
         if len(pieces) > 1:
             x = pieces[-2].x_hi
-        elif pieces[0].kind == "horizontal":
-            return _pack(_gf_horizontal(l, a1, a2, e1, e2, pieces[0].level, d), self.k)
-        elif e1 + pieces[0].level + 1 + d >= e2:
+        elif pieces[0].kind == "diagonal" and e1 + pieces[0].level + 1 + d >= e2:
             return _pack(gf_diagonal(l, alpha, eps, pieces[0].level, d), self.k)
         else:
-            x = e1  # reflection hypothesis fails: only boundary terms remain
+            x = e1  # one flat piece, or a failing diagonal: only boundary terms remain
         fx = min(max(self.ladder.value(x), a2), e2 + 1)
         acc = 0
         # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
@@ -486,13 +465,6 @@ class _Engine:
         return acc
 
 
-def _require_recursive_pre(spec: TASpec) -> None:
-    if spec.d < 0 or spec.l + spec.d < 0:
-        raise PreconditionViolated(
-            f"recursion requires d >= 0 and l + d >= 0, got l={spec.l}, d={spec.d}"
-        )
-
-
 def gf_recursive(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by border peeling.
 
@@ -501,18 +473,20 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
     with a pinned-start tail on the final piece, plus the boundary terms in
     which at most d entries sit at or above f(x) unpaired.  The tail is the
     memoized difference of the tails starting at j and j + 1.  A single
-    diagonal piece that fails the reflection hypothesis is peeled at
-    x = eps_1: second-row entries at or above f(eps_1) can only be the at
-    most d unpaired top ones, so only boundary terms remain.  Base cases
-    are the closed forms above; the direct multi-sum is never called.
+    flat piece, and a single diagonal piece that fails the reflection
+    hypothesis, are peeled at x = eps_1: second-row entries at or above
+    f(eps_1) can only be the at most d unpaired top ones, so only boundary
+    terms remain.  The base cases are ``gf_trivial`` where the coupling
+    cannot bind and ``gf_diagonal`` for one diagonal piece; the direct
+    multi-sum is never called.
     """
-    _require_recursive_pre(spec)
+    _require_engine_pre(spec)
     return _Engine(spec.ladder, [spec]).gf(spec)
 
 
 def gf_star_recursive(spec: TASpec) -> HalfPolynomial:
     """Border peeling for arrays whose first row starts exactly at alpha_1."""
-    _require_recursive_pre(spec)
+    _require_engine_pre(spec)
     if spec.start.x > spec.end.x:
         raise StarRequiresNonemptyFirstColumn(
             f"alpha_1 = {spec.start.x} > eps_1 = {spec.end.x}"

@@ -75,10 +75,6 @@ class LadderFunction:
             return False
         return 0 <= p.y < self.value(p.x)
 
-    def is_trivial(self) -> bool:
-        """True when f == b+1 everywhere, i.e. no restriction at all."""
-        return all(v == self.b + 1 for v in self.values)
-
     def to_mask(self) -> list[list[bool]]:
         """(b+1) x (a+1) grid in matrix orientation: cell (i, j) is True iff
         the matrix entry survives, i.e. (j, b - i) lies in the region."""

@@ -75,12 +75,6 @@ def ne_turns(path: LatticePath) -> list[LatticePoint]:
     return turns
 
 
-def _row_count(width: int, size: int) -> int:
-    if size < 0 or width < 0:
-        return 0
-    return comb(width, size) if size <= width else 0
-
-
 def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
     """Sum of q^|T| over every two-rowed array admitted by the spec.
 

@@ -180,16 +180,6 @@ class HalfPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_add(p: HalfPolynomial, r: HalfPolynomial) -> HalfPolynomial:
-    """Exact sum in canonical form."""
-    return p + r
-
-
-def poly_mul(p: HalfPolynomial, r: HalfPolynomial) -> HalfPolynomial:
-    """Exact schoolbook product."""
-    return p * r
-
-
 def det_poly_matrix(rows: Sequence[Sequence[HalfPolynomial]]) -> HalfPolynomial:
     """Determinant of a square matrix of polynomials, by fraction-free
     elimination on Kronecker-packed integers.
@@ -286,20 +276,19 @@ class HilbertSeries:
 def series_expand(series: HilbertSeries, terms: int) -> list[int]:
     """First ``terms`` power-series coefficients of the rational series.
 
-    coeff(L) = sum_j num_j * binomial(L - j + e - 1, e - 1) over numerator
-    terms with j <= L; for e = 0 the series is the numerator itself.
+    coeff(L) = sum_j num_j * c_(L - j) over numerator terms with j <= L,
+    where c_L = binomial(L + e - 1, L) is the coefficient of z^L in
+    (1 - z)^(-e), built once by c_0 = 1, c_L = c_(L-1) (L - 1 + e) / L
+    (an exact division; for e = 0 it gives 1, 0, 0, ...).
     """
     if terms < 0:
         raise ValueError("terms must be nonnegative")
     num = series.z_coefficients
     e = series.denom_exponent
-    out = []
-    for ell in range(terms):
-        if e == 0:
-            out.append(num[ell] if ell < len(num) else 0)
-            continue
-        total = 0
-        for j in range(0, min(ell, len(num) - 1) + 1):
-            total += num[j] * binomial(ell - j + e - 1, e - 1)
-        out.append(total)
-    return out
+    col = [1]
+    for ell in range(1, terms):
+        col.append(col[-1] * (ell - 1 + e) // ell)
+    return [
+        sum(num[j] * col[ell - j] for j in range(min(ell + 1, len(num))))
+        for ell in range(terms)
+    ]

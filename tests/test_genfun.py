@@ -202,10 +202,15 @@ def test_flagship_subinstance_cross_method():
 
 
 def test_methods_match_oracle_on_random_specs():
+    # one flat piece at level 3 <= eps_2 = 5, not vacuous for d = 1, 2:
+    # the recursive engine peels it at x = eps_1
+    flat = validate_ladder(4, 5, [3] * 5)
+    specs = [TASpec(0, (0, 0), (4, 5), d, flat) for d in (1, 2)]
+    assert not any(_Engine(flat, specs)._vacuous(0, 0, 0, 4, 5, s.d) for s in specs)
     rng = random.Random(321)
     for _ in range(120):
-        lad = random_ladder(rng)
-        spec = random_taspec_wide(rng, lad)
+        specs.append(random_taspec_wide(rng, random_ladder(rng)))
+    for spec in specs:
         truth = enumerate_arrays(spec)
         assert gf_direct(spec) == truth, spec
         assert gf_recursive(spec) == truth, spec

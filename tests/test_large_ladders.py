@@ -10,8 +10,16 @@ import random
 import time
 
 import laddergf.genfun
-from laddergf import Bivector, hilbert_series, path_gf, validate_ladder
-from helpers import random_bivector
+from laddergf import (
+    Bivector,
+    TASpec,
+    enumerate_arrays,
+    gf_direct,
+    hilbert_series,
+    path_gf,
+    validate_ladder,
+)
+from helpers import random_bivector, random_ladder, random_taspec_wide
 
 CLIFF_MINOR = Bivector((1, 3, 4, 6), (1, 3, 5, 8))
 
@@ -162,3 +170,23 @@ def test_recursive_engine_never_calls_direct_sum(monkeypatch):
             assert _digest(hs) == CLIFF_PINS[L], L
     for lad, m in _large_queries():
         assert hilbert_series(lad, m, "recursive").z_coefficients[0] == 1, (lad.values, m)
+
+
+def test_direct_engine_uses_no_closed_form(monkeypatch):
+    """With the closed forms made to raise, the direct engine still answers
+    seeded wide specs, each also with an empty first row (eps_1 =
+    alpha_1 - 1), and the 40 large queries."""
+
+    def unavailable(*args):
+        raise RuntimeError("the direct engine called a closed form")
+
+    monkeypatch.setattr(laddergf.genfun, "gf_trivial", unavailable)
+    monkeypatch.setattr(laddergf.genfun, "gf_diagonal", unavailable)
+    rng = random.Random(2121)
+    for _ in range(60):
+        spec = random_taspec_wide(rng, random_ladder(rng))
+        empty = TASpec(spec.l, spec.start, (spec.start.x - 1, spec.end.y), spec.d, spec.ladder)
+        for s in (spec, empty):
+            assert gf_direct(s) == enumerate_arrays(s), s
+    for lad, m in _large_queries():
+        assert hilbert_series(lad, m, "direct").z_coefficients[0] == 1, (lad.values, m)
