@@ -36,16 +36,24 @@ Two evaluation strategies are provided:
   slots in all, so it is a nonnegative integer at most 2^W, and with
   k = W + 1 the base-2^k digits are the coefficients, never carrying or
   borrowing through the engine's sums, products and set differences.
+  Each closed form is written once, as a generator of its terms; the
+  public function builds a HalfPolynomial from it, and the engine shifts
+  the same terms straight into its packed integer.
 
 Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
 before analysing its shape; values outside that window constrain nothing,
-so the clamp preserves the array set while merging irrelevant pieces.
+so the clamp preserves the array set while merging irrelevant pieces.  The
+recursive engine takes the window as a slice of the boundary values and,
+since f is weakly increasing, finds the clamped prefix and suffix by
+bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from math import comb
+from typing import Callable, Iterable, Iterator, Literal
 
 from .errors import (
     EndpointOutsideLadder,
@@ -98,13 +106,14 @@ class BorderPiece:
     level: int
 
 
-def _runs(values: tuple[int, ...], x_start: int) -> list[BorderPiece]:
+def _runs(values: tuple[int, ...], x_start: int) -> list[tuple[int, int, bool, int]]:
     """Greedy maximal-run partition of a weakly increasing sequence.
 
     A run extends while consecutive increments stay 0 (horizontal) or 1
-    (diagonal); singleton runs count as horizontal.
+    (diagonal); singleton runs count as horizontal.  Each run is the tuple
+    (x_lo, x_hi, diagonal, level) of the ``BorderPiece`` it describes.
     """
-    pieces: list[BorderPiece] = []
+    runs = []
     n = len(values)
     i = 0
     while i < n:
@@ -114,13 +123,13 @@ def _runs(values: tuple[int, ...], x_start: int) -> list[BorderPiece]:
             step = values[j + 1] - values[j]
             while j + 1 < n and values[j + 1] - values[j] == step:
                 j += 1
-        x_lo, x_hi = x_start + i - 1, x_start + j
+        x = x_start + i
         if step == 1:
-            pieces.append(BorderPiece(x_lo, x_hi, "diagonal", values[i] - (x_start + i) - 1))
+            runs.append((x - 1, x_start + j, True, values[i] - x - 1))
         else:
-            pieces.append(BorderPiece(x_lo, x_hi, "horizontal", values[i]))
+            runs.append((x - 1, x_start + j, False, values[i]))
         i = j + 1
-    return pieces
+    return runs
 
 
 def partition_border(ladder: LadderFunction) -> list[BorderPiece]:
@@ -129,18 +138,34 @@ def partition_border(ladder: LadderFunction) -> list[BorderPiece]:
     Every weakly increasing boundary admits this partition; jumps larger
     than one simply separate pieces.
     """
-    return _runs(ladder.values, 0)
+    return [
+        BorderPiece(x_lo, x_hi, "diagonal" if diagonal else "horizontal", level)
+        for x_lo, x_hi, diagonal, level in _runs(ladder.values, 0)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # closed forms on shape-free / single-shape boundaries
 # ---------------------------------------------------------------------------
 
-def _k_range(l: int, w1: int, w2: int, star: bool) -> range:
-    """Second-row lengths k that can carry a nonzero term."""
+def _star_k_range(l: int, w1: int, w2: int) -> range:
+    """Second-row lengths k that can carry a nonzero pinned-start term."""
     kmin = max(0, -l)
-    kmax = min(max(0, w1) - l + (1 if star else 0), max(0, w2))
+    kmax = min(max(0, w1) - l + 1, max(0, w2))
     return range(kmin, max(kmin, kmax) + 1)
+
+
+def _trivial_terms(l: int, a1: int, a2: int, e1: int, e2: int) -> Iterator[tuple[int, int]]:
+    """The nonzero terms (q-exponent, coefficient) of ``gf_trivial``, ascending.
+
+    A range of negative width holds no entry, like an empty one; on the
+    widths w1, w2 >= 0 the terms with 0 <= k + l <= w1 and 0 <= k <= w2 are
+    exactly the nonzero ones, so ``math.comb`` follows the ``binomial``
+    convention there.
+    """
+    w1, w2 = max(0, e1 - a1 + 1), max(0, e2 - a2 + 1)
+    for k in range(max(0, -l), min(w1 - l, w2) + 1):
+        yield 2 * k + l, comb(w1, k + l) * comb(w2, k)
 
 
 def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
@@ -151,13 +176,7 @@ def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
     convention; d plays no role without a boundary.
     """
     alpha, eps = as_point(alpha), as_point(eps)
-    w1, w2 = eps.x - alpha.x + 1, eps.y - alpha.y + 1
-    terms = {}
-    for k in _k_range(l, w1, w2, star=False):
-        c = binomial(w1, k + l) * binomial(w2, k)
-        if c:
-            terms[2 * k + l] = c
-    return HalfPolynomial.from_dict(terms)
+    return HalfPolynomial.from_dict(dict(_trivial_terms(l, alpha.x, alpha.y, eps.x, eps.y)))
 
 
 def gf_star_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
@@ -169,7 +188,7 @@ def gf_star_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
         )
     w1, w2 = eps.x - alpha.x, eps.y - alpha.y + 1
     terms = {}
-    for k in _k_range(l, w1, w2, star=True):
+    for k in _star_k_range(l, w1, w2):
         c = binomial(w1, k + l - 1) * binomial(w2, k)
         if c:
             terms[2 * k + l] = c
@@ -191,20 +210,27 @@ def _check_diagonal_pre(l, alpha, eps, D, d):
         )
 
 
+def _diagonal_terms(l: int, a1: int, a2: int, e1: int, e2: int, D: int,
+                    d: int) -> Iterator[tuple[int, int]]:
+    """The nonzero terms (q-exponent, coefficient) of ``gf_diagonal``,
+    ascending, for parameters that meet its preconditions."""
+    w1, w2 = max(0, e1 - a1 + 1), max(0, e2 - a2 + 1)
+    for k in range(max(0, -l), min(w1 - l, w2) + 1):
+        c = comb(w1, k + l) * comb(w2, k) - binomial(
+            e1 - a2 + D + 1, k - d - 1
+        ) * binomial(e2 - a1 - D + 1, k + l + d + 1)
+        if c:
+            yield 2 * k + l, c
+
+
 def gf_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
     """Diagonal boundary f(x) = x + D + 1: unrestricted count minus a
     reflection term, by the standard bad-array correspondence."""
     alpha, eps = as_point(alpha), as_point(eps)
     _check_diagonal_pre(l, alpha, eps, D, d)
-    w1, w2 = eps.x - alpha.x + 1, eps.y - alpha.y + 1
-    terms = {}
-    for k in _k_range(l, w1, w2, star=False):
-        c = binomial(w1, k + l) * binomial(w2, k) - binomial(
-            eps.x - alpha.y + D + 1, k - d - 1
-        ) * binomial(eps.y - alpha.x - D + 1, k + l + d + 1)
-        if c:
-            terms[2 * k + l] = c
-    return HalfPolynomial.from_dict(terms)
+    return HalfPolynomial.from_dict(
+        dict(_diagonal_terms(l, alpha.x, alpha.y, eps.x, eps.y, D, d))
+    )
 
 
 def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
@@ -217,7 +243,7 @@ def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
     _check_diagonal_pre(l, alpha, eps, D, d)
     w1, w2 = eps.x - alpha.x, eps.y - alpha.y + 1
     terms = {}
-    for k in _k_range(l, w1, w2, star=True):
+    for k in _star_k_range(l, w1, w2):
         c = binomial(w1, k + l - 1) * binomial(w2, k) - binomial(
             eps.x - alpha.y + D + 1, k - d - 1
         ) * binomial(eps.y - alpha.x - D, k + l + d)
@@ -316,18 +342,23 @@ def _row_slots(spec: TASpec) -> int:
     return max(0, spec.end.x - spec.start.x + 1) + max(0, spec.end.y - spec.start.y + 1)
 
 
-def _pack(p: HalfPolynomial, k: int) -> int:
-    """p evaluated at q = 2^k, by Horner shifts.
+def _pack_terms(terms: Iterable[tuple[int, int]], k: int) -> int:
+    """The sum of c * 2^(k*e) over the terms (e, c), exponents distinct.
 
     Raises ValueError unless every coefficient is a base-2^k digit
     (0 <= c < 2^k): anything else would spill into its neighbours.
     """
     v = 0
-    for c in reversed(p.coeffs):
+    for e, c in terms:
         if c < 0 or c >> k:
             raise ValueError(f"coefficient {c} is not a base-2^{k} digit")
-        v = (v << k) + c
+        v |= c << (k * e)
     return v
+
+
+def _pack(p: HalfPolynomial, k: int) -> int:
+    """p evaluated at q = 2^k; raises ValueError as ``_pack_terms`` does."""
+    return _pack_terms(enumerate(p.coeffs), k)
 
 
 def _unpack(v: int, k: int) -> HalfPolynomial:
@@ -360,11 +391,15 @@ class _Engine:
     every coefficient of every value, partial sum and product is a count
     of a subset of the top-level set: nonnegative and at most 2^W
     (``_row_slots``), W the largest over the specs the engine serves.  So
-    k = W + 1.  Base cases are two closed forms, packed by ``_pack``, which
-    rejects a coefficient outside [0, 2^k): ``gf_trivial`` where
-    ``_vacuous`` finds that the coupling cannot bind (an empty first row
-    included), and ``gf_diagonal`` for one diagonal piece that meets the
-    reflection hypothesis (eps_1 + D + 1 + d >= eps_2).
+    k = W + 1.  Base cases are two closed forms, packed by ``_pack_terms``
+    straight from their term generators, which rejects a coefficient
+    outside [0, 2^k): the form of ``gf_trivial`` where ``_vacuous`` finds
+    that the coupling cannot bind (an empty first row included), and that
+    of ``gf_diagonal`` for one diagonal piece that meets the reflection
+    hypothesis (eps_1 + D + 1 + d >= eps_2; its other hypothesis,
+    alpha_1 + D + 1 + l + d >= alpha_2, holds because the clamped boundary
+    is at least alpha_2 and every engine call keeps l + d >= 0).  A miss
+    builds no LatticePoint, dict or HalfPolynomial.
 
     One recursion fills one memo.  A pinned-start set, whose first row
     starts exactly at alpha_1, is the set starting at alpha_1 minus its
@@ -384,6 +419,8 @@ class _Engine:
 
     The boundary clamped into [alpha_2, eps_2 + 1] is a function of the
     numeric parameters alone, so the memo key is just the parameter tuple.
+    ``_pieces`` slices that window out of ``ladder.values`` and partitions
+    it with ``_runs``, the forward-greedy partition of ``partition_border``.
     A trailing clamped-flat piece merges into a preceding diagonal whenever
     the diagonal's continuation clears the clamp level: on that stretch both
     shapes exceed every admissible second-row entry, constraining nothing.
@@ -408,15 +445,30 @@ class _Engine:
             v -= self.eval(l, a1 + 1, a2, e1, e2, d)
         return _unpack(v, self.k)
 
-    def _pieces(self, a1, a2, e1, e2) -> list[BorderPiece]:
-        f = self.ladder.value
-        g = tuple(min(max(f(x), a2), e2 + 1) for x in range(a1, e1 + 1))
+    def _pieces(self, a1, a2, e1, e2) -> list[tuple[int, int, bool, int]]:
+        """``_runs`` of the boundary on columns a1..e1, clamped into
+        [a2, e2 + 1], with a trailing clamped-flat piece merged into a
+        preceding diagonal that clears the clamp level.
+
+        The window is a slice of ``ladder.values``, with f(0) repeated for
+        the columns left of 0.  f is weakly increasing, so the values below
+        a2 form a prefix and those above e2 + 1 a suffix, found by bisection.
+        """
+        vals = self.ladder.values
+        if e1 > self.ladder.a:
+            raise ValueError(f"boundary undefined at x={e1} > a={self.ladder.a}")
+        seg = (vals[0],) * (min(e1 + 1, 0) - a1) + vals[max(a1, 0):max(e1 + 1, 0)]
+        top = e2 + 1
+        lo = bisect_left(seg, a2)
+        hi = bisect_right(seg, top, lo)
+        g = (min(a2, top),) * lo + seg[lo:hi] + (top,) * (len(seg) - hi)
         pieces = _runs(g, a1)
-        if len(pieces) >= 2 and pieces[-1].kind == "horizontal" \
-                and pieces[-1].level == e2 + 1:
-            prev = pieces[-2]
-            if prev.kind == "diagonal" and (prev.x_hi + 1) + prev.level + 1 >= e2 + 1:
-                pieces[-2:] = [BorderPiece(prev.x_lo, pieces[-1].x_hi, "diagonal", prev.level)]
+        if len(pieces) >= 2:
+            x_lo, x_hi, diagonal, level = pieces[-2]
+            _, x_end, last_diagonal, last_level = pieces[-1]
+            if not last_diagonal and last_level == top and diagonal \
+                    and x_hi + level + 2 >= top:
+                pieces[-2:] = [(x_lo, x_end, True, level)]
         return pieces
 
     def _vacuous(self, l, a1, a2, e1, e2, d) -> bool:
@@ -426,27 +478,25 @@ class _Engine:
             return True  # every second row is too short to reach a pair
         return e2 - d < self.ladder.value(a1)
 
-    def eval(self, l, a1, a2, e1, e2, d) -> int:
-        key = (l, a1, a2, e1, e2, d)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        res = self._eval(l, a1, a2, e1, e2, d)
-        self.memo[key] = res
-        return res
+    def eval(self, *key) -> int:
+        """The memoized value of ``_eval`` at key = (l, a1, a2, e1, e2, d)."""
+        v = self.memo.get(key)
+        if v is None:
+            v = self.memo[key] = self._eval(*key)
+        return v
 
     def _eval(self, l, a1, a2, e1, e2, d) -> int:
-        alpha, eps = LatticePoint(a1, a2), LatticePoint(e1, e2)
         if self._vacuous(l, a1, a2, e1, e2, d):
-            return _pack(gf_trivial(l, alpha, eps), self.k)
+            return _pack_terms(_trivial_terms(l, a1, a2, e1, e2), self.k)
         pieces = self._pieces(a1, a2, e1, e2)
+        x_lo, _, diagonal, level = pieces[-1]
         if len(pieces) > 1:
-            x = pieces[-2].x_hi
-        elif pieces[0].kind == "diagonal" and e1 + pieces[0].level + 1 + d >= e2:
-            return _pack(gf_diagonal(l, alpha, eps, pieces[0].level, d), self.k)
+            x = x_lo  # the last interior piece boundary
+        elif diagonal and e1 + level + 1 + d >= e2:
+            return _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, level, d), self.k)
         else:
             x = e1  # one flat piece, or a failing diagonal: only boundary terms remain
-        fx = min(max(self.ladder.value(x), a2), e2 + 1)
+        fx = min(max(self.ladder.values[max(x, 0)], a2), e2 + 1)
         acc = 0
         # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
         # start eps_1 + 1 the first row is empty and the d second-row entries

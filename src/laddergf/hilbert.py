@@ -125,9 +125,9 @@ def hilbert_series(
 
     The recursive method is the default.  Both methods take polynomial
     time.  The recursive one is faster on the bundled 14x16 example (about
-    4x) and on long diagonal stretches; the direct one is faster on
-    boundaries made of many short pieces (about 5x on a boundary that rises
-    by 2 at every column, a = 50).
+    5x) and on long diagonal stretches; the direct one is faster on
+    boundaries made of many short pieces (about 3.5x on a boundary that
+    rises by 2 at every column, a = 50).
     """
     cfg = endpoints_from_bivector(ladder, m)
     matrix = build_gf_matrix(ladder, cfg, method)

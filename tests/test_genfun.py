@@ -15,6 +15,7 @@ from laddergf import (
     PreconditionViolated,
     StarRequiresNonemptyFirstColumn,
     TASpec,
+    binomial,
     enumerate_arrays,
     gf_diagonal,
     gf_direct,
@@ -26,7 +27,15 @@ from laddergf import (
     partition_border,
     validate_ladder,
 )
-from laddergf.genfun import _Engine, _pack, _unpack
+from laddergf.genfun import (
+    _Engine,
+    _diagonal_terms,
+    _pack,
+    _pack_terms,
+    _runs,
+    _trivial_terms,
+    _unpack,
+)
 from helpers import flagship_ladder, random_ladder, random_taspec_wide
 
 P = HalfPolynomial
@@ -271,6 +280,127 @@ def test_packing_helpers_reject_bad_input():
     engine = _Engine(lad, [TASpec(0, (0, 0), (1, 1), 0, lad)])
     with pytest.raises(PreconditionViolated):
         engine.gf(TASpec(0, (0, 0), (3, 3), 0, lad))
+
+
+def _closed_form_cases(rng):
+    """Seeded (l, a1, a2, e1, e2, d): a1 < 0 in about half, an empty first
+    row (e1 = a1 - 1) or an empty second row (e2 = a2 - 1) in a fifth each,
+    l = -d in a quarter."""
+    for i in range(400):
+        d = rng.randint(0, 3)
+        l = -d if i % 4 == 0 else rng.randint(-d, 4)
+        a1, a2 = rng.randint(-4, 3), rng.randint(-4, 4)
+        e1 = a1 - 1 if i % 5 == 1 else a1 + rng.randint(0, 7)
+        e2 = a2 - 1 if i % 5 == 2 else a2 + rng.randint(0, 7)
+        yield l, a1, a2, e1, e2, d
+
+
+def test_packed_closed_forms_match_public_ones():
+    """The engine packs the closed forms from their term generators; the
+    result must equal the public HalfPolynomial packed by ``_pack``.  The
+    diagonal offsets D sit at the edge of the reflection hypothesis
+    (alpha_1 + D + 1 + l + d = alpha_2 or eps_1 + D + 1 + d = eps_2) and up
+    to two beyond it."""
+    rng = random.Random(2207)
+    for l, a1, a2, e1, e2, d in _closed_form_cases(rng):
+        w1, w2 = e1 - a1 + 1, e2 - a2 + 1
+        k = max(0, w1) + max(0, w2) + 1
+        packed = _pack_terms(_trivial_terms(l, a1, a2, e1, e2), k)
+        assert packed == _pack(gf_trivial(l, (a1, a2), (e1, e2), d), k)
+        # the product formula with ``binomial`` on the raw widths
+        assert packed == sum(binomial(w1, j + l) * binomial(w2, j) << k * (2 * j + l)
+                             for j in range(max(0, -l), 12))
+        edge = max(a2 - a1 - 1 - l - d, e2 - e1 - 1 - d)
+        for D in (edge, edge + 1, edge + 2):
+            packed = _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, D, d), k)
+            public = _pack(gf_diagonal(l, (a1, a2), (e1, e2), D, d), k)
+            assert packed == public, (l, a1, a2, e1, e2, D, d)
+
+
+def test_packed_closed_forms_reject_wide_coefficients():
+    with pytest.raises(ValueError):
+        _pack_terms([(0, 1), (2, 16)], 4)
+    with pytest.raises(ValueError):
+        _pack_terms([(1, -1)], 4)
+    # C(4, 2)^2 = 36 does not fit in 5 bits, though every row slot count does
+    assert max(gf_trivial(0, (0, 0), (3, 3)).coeffs) == 36
+    with pytest.raises(ValueError):
+        _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 5)
+    with pytest.raises(ValueError):
+        _pack_terms(_diagonal_terms(0, 0, 0, 3, 3, 3, 0), 5)
+    assert _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 6) == _pack(gf_trivial(0, (0, 0), (3, 3)), 6)
+
+
+def test_engine_on_one_diagonal_piece_matches_enumeration():
+    """Windows whose clamped boundary is one diagonal piece, with eps_2 at
+    the edge of the reflection hypothesis or inside it: the engine's value
+    equals the enumeration, and the packed ``gf_diagonal`` too."""
+    rng = random.Random(2208)
+    by_formula = 0
+    for _ in range(150):
+        D, a = rng.randint(0, 3), rng.randint(1, 6)
+        lad = validate_ladder(a, a + D, [x + D + 1 for x in range(a + 1)])
+        d = rng.randint(0, 2)
+        l = rng.randint(-d, 2)
+        a1 = rng.randint(0, a - 1)
+        e1 = rng.randint(a1 + 1, a)  # one column would be a flat singleton
+        e2 = e1 + D + 1 + d - rng.randint(0, 1)
+        a2 = rng.randint(max(0, a1 + D - 1), a1 + D + 1)
+        spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
+        engine = _Engine(lad, [spec])
+        truth = _pack(enumerate_arrays(spec), engine.k)
+        assert engine.eval(l, a1, a2, e1, e2, d) == truth
+        assert engine._pieces(a1, a2, e1, e2) == [(a1 - 1, e1, True, D)]
+        assert _pack(gf_diagonal(l, (a1, a2), (e1, e2), D, d), engine.k) == truth
+        by_formula += not engine._vacuous(l, a1, a2, e1, e2, d)
+    assert by_formula >= 50
+
+
+def test_sliced_boundary_matches_per_column_clamp():
+    """``_Engine._pieces`` equals its definition: ``_runs`` of the boundary
+    clamped column by column, with the trailing merge.  Seeded boundaries
+    rising by 0, 1 or 2 per column, and windows with a1 < 0, alpha_2 above
+    every boundary value, eps_2 + 1 below every boundary value, an empty
+    first row (e1 = a1 - 1) and e1 = a; a window right of a raises, as
+    ``LadderFunction.value`` does."""
+    rng = random.Random(2209)
+    merged = 0
+    for i in range(600):
+        values = [rng.randint(1, 3)]
+        for _ in range(rng.randint(0, 10)):
+            values.append(values[-1] + rng.choice((0, 1, 1, 1, 2)))
+        lad = validate_ladder(len(values) - 1, values[-1] - 1 + rng.randint(0, 2), values)
+        a, b, low, high = lad.a, lad.b, lad.values[0], lad.values[-1]
+        a1 = rng.randint(-3, -1) if i % 3 == 0 else rng.randint(-3, a)
+        if i % 4 == 0:
+            e1 = a1 - 1
+        elif i % 4 == 1:
+            e1 = a
+        else:
+            e1 = rng.randint(a1, a)
+        if i % 5 == 0:  # every value below alpha_2
+            a2 = high + rng.randint(1, 3)
+            e2 = rng.randint(a2 - 1, a2 + 3)
+        elif i % 5 == 1:  # every value above eps_2 + 1, alpha_2 up to eps_2 + 3
+            e2 = low - rng.randint(2, 4)
+            a2 = rng.randint(e2 - 2, e2 + 3)
+        else:
+            a2 = rng.randint(-2, high)
+            e2 = rng.randint(a2 - 1, b + 3) if i % 2 else rng.randint(a2 - 1, high)
+        g = tuple(min(max(lad.value(x), a2), e2 + 1) for x in range(a1, e1 + 1))
+        expected = _runs(g, a1)
+        if len(expected) >= 2:
+            x_lo, x_hi, diagonal, level = expected[-2]
+            _, x_end, last_diagonal, last_level = expected[-1]
+            if not last_diagonal and last_level == e2 + 1 and diagonal \
+                    and x_hi + 1 + level + 1 >= e2 + 1:
+                expected[-2:] = [(x_lo, x_end, True, level)]
+                merged += 1
+        engine = _Engine(lad, [TASpec(0, (0, 0), (a, b), 0, lad)])
+        assert engine._pieces(a1, a2, e1, e2) == expected, (lad.values, a1, a2, e1, e2)
+        with pytest.raises(ValueError):
+            engine._pieces(a1, a2, a + 1, e2)
+    assert merged >= 10  # the trailing merge is exercised
 
 
 def test_star_recursive():

@@ -173,15 +173,15 @@ def test_recursive_engine_never_calls_direct_sum(monkeypatch):
 
 
 def test_direct_engine_uses_no_closed_form(monkeypatch):
-    """With the closed forms made to raise, the direct engine still answers
-    seeded wide specs, each also with an empty first row (eps_1 =
-    alpha_1 - 1), and the 40 large queries."""
+    """With the closed forms and their term generators made to raise, the
+    direct engine still answers seeded wide specs, each also with an empty
+    first row (eps_1 = alpha_1 - 1), and the 40 large queries."""
 
     def unavailable(*args):
         raise RuntimeError("the direct engine called a closed form")
 
-    monkeypatch.setattr(laddergf.genfun, "gf_trivial", unavailable)
-    monkeypatch.setattr(laddergf.genfun, "gf_diagonal", unavailable)
+    for name in ("gf_trivial", "gf_diagonal", "_trivial_terms", "_diagonal_terms"):
+        monkeypatch.setattr(laddergf.genfun, name, unavailable)
     rng = random.Random(2121)
     for _ in range(60):
         spec = random_taspec_wide(rng, random_ladder(rng))
