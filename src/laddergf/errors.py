@@ -67,9 +67,10 @@ class InstanceTooLarge(LadderError):
 
 class MismatchFound(LadderError):
     """Two computations that must agree differ: two evaluation methods in a
-    cross-method verification, or the path enumerator's two containment
+    cross-method verification, the path enumerator's two containment
     tests (by NE-turns and by all points) on a region that is not an upper
-    ladder."""
+    ladder, or a determinant matrix whose determinant does not count path
+    families (negative, or coefficients not summing to its value at z = 1)."""
 
 
 class OddExponentPresent(LadderError):

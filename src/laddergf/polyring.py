@@ -5,7 +5,11 @@ contributes q^m = z^(m/2), and only the fully assembled determinant is a
 genuine power series in z.  Coefficients are Python ints, so nothing ever
 overflows or rounds.  Determinants are taken by fraction-free elimination
 on integers that pack whole polynomials (Kronecker substitution), in O(n^3)
-integer products.
+integer products.  The packing width must exceed every coefficient of the
+result.  ``det_poly_matrix`` takes it from Hadamard's bound, which holds for
+any signed matrix; the pipeline determinant (``GFMatrix.determinant``) takes
+it from the number D of path families, since by the path-family theorem its
+coefficients are nonnegative and sum to D.
 
 Everything here is immutable and pure; concurrent callers need no locks.
 """
@@ -180,42 +184,26 @@ class HalfPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def det_poly_matrix(rows: Sequence[Sequence[HalfPolynomial]]) -> HalfPolynomial:
-    """Determinant of a square matrix of polynomials, by fraction-free
-    elimination on Kronecker-packed integers.
+def _pack(coeffs: Sequence[int], k: int) -> int:
+    """The polynomial with these coefficients, evaluated at 2^k by Horner
+    shifts."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << k) + c
+    return v
 
-    Hadamard's inequality bounds every coefficient of the determinant by
-    H = isqrt(prod_s sum_t L1(entry_st)^2) + 1, where L1 is the sum of
-    absolute coefficient values.  With 2^(K-1) > H, each entry is packed
-    into the integer entry(2^K); the integer determinant, by Bareiss
-    elimination with exact ``//`` and a row swap on a zero pivot, is the
-    polynomial determinant evaluated at 2^K; and its balanced base-2^K
-    digits are the coefficients.  O(n^3) products of integers about
-    n * K * (entry degree) bits long.  The variable is generic:
-    ``GFMatrix.determinant`` calls this on its matrix rewritten in z = q^2.
-    """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square and nonempty")
-    hadamard_sq = 1
-    for r in rows:
-        hadamard_sq *= sum(sum(map(abs, p.coeffs)) ** 2 for p in r)
-    k = (math.isqrt(hadamard_sq) + 1).bit_length() + 1
-    m = []
-    for r in rows:
-        packed = []
-        for p in r:
-            v = 0
-            for c in reversed(p.coeffs):
-                v = (v << k) + c
-            packed.append(v)
-        m.append(packed)
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a nonempty square integer matrix, by fraction-free
+    elimination (Bareiss 1968) with exact ``//`` and a row swap on a zero
+    pivot; O(n^3) integer products.  Overwrites m."""
+    n = len(m)
     sign, prev = 1, 1
     for j in range(n - 1):
         if not m[j][j]:
             swap = next((i for i in range(j + 1, n) if m[i][j]), None)
             if swap is None:
-                return HalfPolynomial.zero()
+                return 0
             m[j], m[swap] = m[swap], m[j]
             sign = -sign
         pivot, top = m[j][j], m[j]
@@ -224,7 +212,33 @@ def det_poly_matrix(rows: Sequence[Sequence[HalfPolynomial]]) -> HalfPolynomial:
             for c in range(j + 1, n):
                 row[c] = (row[c] * pivot - lead * top[c]) // prev
         prev = pivot
-    v = sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1]
+
+
+def det_poly_matrix(rows: Sequence[Sequence[HalfPolynomial]]) -> HalfPolynomial:
+    """Determinant of a square matrix of polynomials with signed integer
+    coefficients, by fraction-free elimination on Kronecker-packed integers.
+
+    Hadamard's inequality bounds every coefficient of the determinant by
+    H = isqrt(prod_s sum_t L1(entry_st)^2) + 1, where L1 is the sum of
+    absolute coefficient values.  With 2^(K-1) > H, each entry is packed
+    into the integer entry(2^K); the integer determinant (``_bareiss``) is
+    the polynomial determinant evaluated at 2^K; and its balanced base-2^K
+    digits are the coefficients.  O(n^3) products of integers about
+    n * K * (entry degree) bits long.  The variable is generic.
+
+    ``GFMatrix.determinant`` does not call this: the path-family theorem
+    gives its matrices a much smaller bound (see there), and this
+    Hadamard-sized version is its independent check in the tests.
+    """
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and nonempty")
+    hadamard_sq = 1
+    for r in rows:
+        hadamard_sq *= sum(sum(map(abs, p.coeffs)) ** 2 for p in r)
+    k = (math.isqrt(hadamard_sq) + 1).bit_length() + 1
+    v = _bareiss([[_pack(p.coeffs, k) for p in r] for r in rows])
     mask, half = (1 << k) - 1, 1 << (k - 1)
     coeffs = []
     while v:
@@ -271,6 +285,16 @@ class HilbertSeries:
         """Numerator coefficients of z^0, z^1, ..., z^deg."""
         cs = self.numerator.coeffs
         return tuple(cs[k] for k in range(0, len(cs), 2))
+
+    @property
+    def multiplicity(self) -> int:
+        """The numerator at z = 1.
+
+        For a series from ``hilbert_series`` this is D = det M(1), the
+        determinant of the entries at q = 1: the number of nonintersecting
+        path families, which is the multiplicity (degree) of the ring.
+        """
+        return sum(self.numerator.coeffs)
 
 
 def series_expand(series: HilbertSeries, terms: int) -> list[int]:

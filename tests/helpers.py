@@ -2,7 +2,14 @@
 
 import random
 
-from laddergf import Bivector, HalfPolynomial, LadderFunction, TASpec, validate_ladder
+from laddergf import (
+    Bivector,
+    HalfPolynomial,
+    LadderFunction,
+    TASpec,
+    det_poly_matrix,
+    validate_ladder,
+)
 
 FLAGSHIP_A = 13
 FLAGSHIP_B = 15
@@ -167,3 +174,24 @@ def laplace_det(rows) -> HalfPolynomial:
         return memo[cols]
 
     return minor(tuple(range(n)))
+
+
+def hadamard_determinant(entries) -> HalfPolynomial:
+    """Determinant of a pipeline matrix by the generic ``det_poly_matrix``,
+    whose packing is sized by Hadamard's bound with balanced digits.
+
+    Halves to z = q^2 as ``GFMatrix.determinant`` does (row s and column t
+    times q^(s mod 2) and q^(t mod 2)), then drops the z^(n // 2) this adds
+    and spreads the coefficients back to q.  Kept as an independent oracle
+    for the family-count packing, which relies on the path-family theorem.
+    """
+    n = len(entries)
+    in_z = [
+        [HalfPolynomial(((0,) * (s % 2 + t % 2) + entry.coeffs)[::2])
+         for t, entry in enumerate(row)]
+        for s, row in enumerate(entries)
+    ]
+    z_coeffs = det_poly_matrix(in_z).coeffs[n // 2:]
+    q_coeffs = [0] * (2 * len(z_coeffs))
+    q_coeffs[::2] = z_coeffs
+    return HalfPolynomial(q_coeffs)

@@ -1,6 +1,10 @@
 """The determinant pipeline and the Hilbert series assembly."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from laddergf import (
     Bivector,
     GFMatrix,
     HalfPolynomial,
+    MismatchFound,
     OddExponentPresent,
     TASpec,
     build_gf_matrix,
@@ -17,11 +22,15 @@ from laddergf import (
     hilbert_series,
     path_gf,
     series_expand,
+    validate_general_endpoints,
     validate_ladder,
 )
+from laddergf.polyring import _bareiss
 from helpers import (
+    FLAGSHIP_NUMERATOR,
     flagship_bivector,
     flagship_ladder,
+    hadamard_determinant,
     laplace_det,
     random_bivector,
     random_corollary_ladder,
@@ -30,6 +39,7 @@ from helpers import (
 )
 
 P = HalfPolynomial
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_matrix_one_by_one():
@@ -42,6 +52,8 @@ def test_matrix_one_by_one():
 
 def test_matrix_rejects_bad_shape():
     one = P.one()
+    with pytest.raises(ValueError):
+        GFMatrix(0, ())
     with pytest.raises(ValueError):
         GFMatrix(2, ((one, P([0, 1])),))
     with pytest.raises(ValueError):
@@ -96,6 +108,88 @@ def test_determinant_matches_laplace_oracle():
             assert matrix.determinant() == laplace_det(matrix.entries), (lad.values, m)
 
 
+def _wide_ladder_and_minor(rng: random.Random, n: int):
+    """A ladder whose boundary reaches b + 1 and whose first column and flat
+    top block are both at least n points wide, with an n x n minor."""
+    a, b = rng.randint(n + 2, n + 7), rng.randint(n + 2, n + 7)
+    tail = rng.randint(n, a)
+    values = sorted(rng.randint(n, b + 1) for _ in range(a + 1 - tail))
+    lad = validate_ladder(a, b, values + [b + 1] * tail)
+    x_top = lad.values.index(b + 1)
+    m = Bivector(tuple(sorted(rng.sample(range(1, values[0] + 1), n))),
+                 tuple(sorted(rng.sample(range(1, a + 2 - x_top), n))))
+    return lad, m
+
+
+def _pipeline_matrices():
+    """48 seeded pipeline matrices: four minors for each n = 1..7, and 20
+    endpoint sets of one or two paths on ladders with a, b in 5..10."""
+    rng = random.Random(38)
+    for n in range(1, 8):
+        for _ in range(4):
+            lad, m = _wide_ladder_and_minor(rng, n)
+            yield build_gf_matrix(lad, endpoints_from_bivector(lad, m))
+    done = 0
+    while done < 20:
+        lad = random_ladder(rng, 10, 10, amin=5, bmin=5)
+        drawn = random_endpoints(rng, lad, rng.choice((1, 2)))
+        if drawn is not None:
+            yield build_gf_matrix(lad, validate_general_endpoints(lad, *drawn))
+            done += 1
+
+
+def test_determinant_counts_families():
+    """The premise of the family-count packing: on pipeline matrices every
+    coefficient of the determinant is nonnegative and the coefficients sum
+    to D, the determinant of the entries at q = 1; and the determinant
+    equals the Hadamard-sized generic one."""
+    count = 0
+    for matrix in _pipeline_matrices():
+        det = matrix.determinant()
+        assert all(c >= 0 for c in det.coeffs), matrix
+        at_one = [[sum(e.coeffs) for e in row] for row in matrix.entries]
+        assert sum(det.coeffs) == _bareiss(at_one) > 0, matrix
+        assert det == hadamard_determinant(matrix.entries), matrix
+        count += 1
+    assert count == 48
+
+
+# Matrices that pass the shape and parity checks but count no path
+# families: (1, q; q, 1) has determinant 1 - q^2, D = 0 and a negative
+# value at z = 2; the 1 x 1 matrix -1 + 3 q^2 has D = 2 and a positive
+# value at z = 4 whose base-4 digits sum to 8.
+NOT_FAMILY_COUNTS = {
+    "negative": GFMatrix(2, ((P.one(), P([0, 1])), (P([0, 1]), P.one()))),
+    "digit_sum": GFMatrix(1, ((P([-1, 0, 3]),),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FAMILY_COUNTS))
+def test_determinant_rejects_matrix_counting_no_families(name):
+    with pytest.raises(MismatchFound):
+        NOT_FAMILY_COUNTS[name].determinant()
+
+
+def test_determinant_guard_survives_optimize():
+    """python -O drops asserts; the guard must still raise, not hang on
+    reading the digits of a negative value."""
+    code = (
+        "from laddergf import GFMatrix, HalfPolynomial as P, MismatchFound\n"
+        "m = GFMatrix(2, ((P.one(), P([0, 1])), (P([0, 1]), P.one())))\n"
+        "try:\n"
+        "    m.determinant()\n"
+        "except MismatchFound:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
 def test_path_gf_single_trivial():
     lad = validate_ladder(1, 1, [2, 2])
     assert path_gf(lad, [(0, 0)], [(1, 1)]) == P([1, 0, 1])
@@ -124,6 +218,7 @@ def test_hilbert_series_hypersurface():
     assert hs.z_coefficients == (1, 1)
     assert hs.denom_exponent == 3
     assert series_expand(hs, 6) == [1, 4, 9, 16, 25, 36]
+    assert hs.multiplicity == 2
 
 
 def test_hilbert_series_flagship_spot_checks():
@@ -134,6 +229,7 @@ def test_hilbert_series_flagship_spot_checks():
     assert hs.denom_exponent == 99
     # degree-1 component counts the surviving matrix entries
     assert series_expand(hs, 2) == [1, sum(flagship_ladder().values)]
+    assert hs.multiplicity == sum(FLAGSHIP_NUMERATOR)
 
 
 def test_methods_agree_on_random_instances():
