@@ -30,12 +30,16 @@ Two evaluation strategies are provided:
   alpha_1 + 1.  A single flat piece, and a diagonal piece that fails the
   reflection hypothesis, are peeled at x = eps_1, because second-row
   entries at or above f(eps_1) can only be the at most d unpaired top
-  ones.  So the two engines share no formula.  It computes on packed
-  integers, each value its generating function at q = 2^k: every
-  coefficient counts arrays whose rows are subsets of ranges holding W
-  slots in all, so it is a nonnegative integer at most 2^W, and with
-  k = W + 1 the base-2^k digits are the coefficients, never carrying or
-  borrowing through the engine's sums, products and set differences.
+  ones.  First-row entries in the columns where the boundary clears
+  eps_2 (f >= eps_2 + 1) are the mirror case: they clear every second-row
+  entry, so they are split off in one step, m of them at a time, leaving
+  type l - m and offset d + m on the columns to their left.  So the two
+  engines share no formula.  It computes on packed integers, each value
+  its generating function at q = 2^k: every coefficient counts arrays
+  whose rows are subsets of ranges holding W slots in all, so it is a
+  nonnegative integer at most 2^W, and with k = W + 1 the base-2^k digits
+  are the coefficients, never carrying or borrowing through the engine's
+  sums, products and set differences.
   Each closed form is written once, as a generator of its terms; the
   public function builds a HalfPolynomial from it, and the engine shifts
   the same terms straight into its packed integer.
@@ -407,6 +411,17 @@ class _Engine:
     nonnegative digit by digit.  The peel runs its tail start j downwards
     and carries the value at j + 1, so each step looks up one new value.
 
+    Before any peel, the columns t..eps_1 where the boundary clears eps_2
+    (f(t) >= eps_2 + 1, t found by bisection) are split off in one step.
+    The boundary at a first-row entry there exceeds every second-row
+    entry, so every pair the entry is in holds; such entries are the top m
+    of the first row, and removing them leaves an array of type l - m and
+    offset d + m on [alpha_1, t - 1].  So the value is the sum over m of
+    C(eps_1 - t + 1, m) q^m times that sub-value: each term keeps
+    l + d >= 0 and counts a disjoint subset of the caller's arrays.
+    Without this step every peel's prefix windows, which end in such
+    columns, would be peeled again one column at a time.
+
     Every other spec is peeled: at the last interior piece boundary, or at
     x = eps_1 for a single flat piece at level h <= eps_2 or a single
     diagonal piece that fails the hypothesis.  A second-row entry at or
@@ -424,6 +439,9 @@ class _Engine:
     A trailing clamped-flat piece merges into a preceding diagonal whenever
     the diagonal's continuation clears the clamp level: on that stretch both
     shapes exceed every admissible second-row entry, constraining nothing.
+    The clearing columns are split off first, so no window that ``_eval``
+    partitions reaches eps_2 + 1, and there the upper clamp and the merge
+    never take effect.
     """
 
     def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
@@ -488,6 +506,18 @@ class _Engine:
     def _eval(self, l, a1, a2, e1, e2, d) -> int:
         if self._vacuous(l, a1, a2, e1, e2, d):
             return _pack_terms(_trivial_terms(l, a1, a2, e1, e2), self.k)
+        # first-row entries in columns t..e1 clear every second-row entry
+        # (f(t) >= e2 + 1): they are the top m of the row, in every pair
+        # they are in, and splitting them off leaves type l - m, offset d + m
+        t = bisect_left(self.ladder.values, e2 + 1, max(a1, 0), e1 + 1)
+        if t <= e1:
+            w = e1 - t + 1
+            acc = 0
+            for m in range(0, min(w, e2 - a2 + 1 + l) + 1):
+                v = self.eval(l - m, a1, a2, t - 1, e2, d + m)
+                if v:
+                    acc += (v * comb(w, m)) << (self.k * m)
+            return acc
         pieces = self._pieces(a1, a2, e1, e2)
         x_lo, _, diagonal, level = pieces[-1]
         if len(pieces) > 1:
@@ -496,7 +526,7 @@ class _Engine:
             return _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, level, d), self.k)
         else:
             x = e1  # one flat piece, or a failing diagonal: only boundary terms remain
-        fx = min(max(self.ladder.values[max(x, 0)], a2), e2 + 1)
+        fx = max(self.ladder.values[max(x, 0)], a2)  # <= e2 after the split above
         acc = 0
         # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
         # start eps_1 + 1 the first row is empty and the d second-row entries
@@ -518,10 +548,14 @@ class _Engine:
 def gf_recursive(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by border peeling.
 
-    Splits at the last interior piece boundary x: arrays decompose by the
-    first second-row entry reaching f(x) into a prefix below f(x) paired
-    with a pinned-start tail on the final piece, plus the boundary terms in
-    which at most d entries sit at or above f(x) unpaired.  The tail is the
+    First splits off, in one step, the first-row entries in the columns
+    where the boundary clears eps_2: they pair with every second-row entry
+    freely, so m of them leave type l - m and offset d + m on the columns
+    to their left, with weight C(width, m) q^m.  Then splits at the last
+    interior piece boundary x: arrays decompose by the first second-row
+    entry reaching f(x) into a prefix below f(x) paired with a pinned-start
+    tail on the final piece, plus the boundary terms in which at most d
+    entries sit at or above f(x) unpaired.  The tail is the
     memoized difference of the tails starting at j and j + 1.  A single
     flat piece, and a single diagonal piece that fails the reflection
     hypothesis, are peeled at x = eps_1: second-row entries at or above

@@ -155,9 +155,10 @@ def hilbert_series(
 
     The recursive method is the default.  Both methods take polynomial
     time.  The recursive one is faster on the bundled 14x16 example (about
-    5x) and on long diagonal stretches; the direct one is faster on
-    boundaries made of many short pieces (about 3.5x on a boundary that
-    rises by 2 at every column, a = 50).
+    5x), on long diagonal stretches and on boundaries made of many short
+    pieces: on a boundary that rises by 2 at every column, with a 1 x 1
+    minor, 0.020 s against 0.064 s at a = 50 and 0.065 s against 0.29 s at
+    a = 80 (2-vCPU Xeon VM, Python 3.11).
     """
     cfg = endpoints_from_bivector(ladder, m)
     matrix = build_gf_matrix(ladder, cfg, method)

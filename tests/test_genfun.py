@@ -356,6 +356,49 @@ def test_engine_on_one_diagonal_piece_matches_enumeration():
     assert by_formula >= 50
 
 
+def test_engine_splits_off_columns_clearing_eps2():
+    """Windows in which the boundary first reaches eps_2 + 1 at a column t
+    in (alpha_1, eps_1]: the first-row entries in [t, eps_1] clear every
+    second-row entry, and the engine splits them off in one step.  Its
+    value equals the enumeration and the direct engine.  The windows
+    include alpha_1 < 0, l = -d, d up to 3 and t = alpha_1 + 1.  The rule
+    fired where the window is not vacuous and was never partitioned; it
+    does on at least 100."""
+    rng = random.Random(2210)
+    windows = fired = 0
+    seen = set()
+    while windows < 200:
+        values = [rng.randint(1, 3)]
+        for _ in range(rng.randint(1, 6)):
+            values.append(values[-1] + rng.choice((0, 1, 2, 3, 4)))
+        lad = validate_ladder(len(values) - 1, values[-1] - 1, values)
+        a1 = rng.randint(-2, -1) if windows % 3 == 0 else rng.randint(-2, lad.a - 1)
+        jumps = [x for x in range(max(a1 + 1, 1), lad.a + 1) if values[x] > values[x - 1]]
+        if not jumps:
+            continue
+        t = a1 + 1 if windows % 5 == 0 and a1 + 1 in jumps else rng.choice(jumps)
+        e1 = rng.randint(t, lad.a)
+        e2 = rng.randint(values[t - 1], values[t] - 1)
+        a2 = e2 - rng.randint(1, 6)
+        d = rng.randint(0, 3)
+        l = -d if windows % 4 == 0 else rng.randint(-d, 3)
+        spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
+        engine = _Engine(lad, [spec])
+        partitioned = []
+        pieces = engine._pieces
+        engine._pieces = lambda *window: partitioned.append(window) or pieces(*window)
+        truth = _pack(enumerate_arrays(spec), engine.k)
+        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _pack(gf_direct(spec), engine.k), spec
+        windows += 1
+        if not engine._vacuous(l, a1, a2, e1, e2, d) and (a1, a2, e1, e2) not in partitioned:
+            fired += 1
+            seen.update(name for name, hit in (("a1 < 0", a1 < 0), ("l = -d", l == -d),
+                                               ("d = 3", d == 3), ("t = a1 + 1", t == a1 + 1))
+                        if hit)
+    assert fired >= 100
+    assert seen == {"a1 < 0", "l = -d", "d = 3", "t = a1 + 1"}
+
+
 def test_sliced_boundary_matches_per_column_clamp():
     """``_Engine._pieces`` equals its definition: ``_runs`` of the boundary
     clamped column by column, with the trailing merge.  Seeded boundaries

@@ -21,7 +21,16 @@ from laddergf import (
     path_gf,
     validate_ladder,
 )
-from helpers import hadamard_determinant, random_bivector, random_ladder, random_taspec_wide
+from laddergf.genfun import _Engine
+from helpers import (
+    FLAGSHIP_NUMERATOR,
+    flagship_bivector,
+    flagship_ladder,
+    hadamard_determinant,
+    random_bivector,
+    random_ladder,
+    random_taspec_wide,
+)
 
 CLIFF_MINOR = Bivector((1, 3, 4, 6), (1, 3, 5, 8))
 
@@ -164,15 +173,15 @@ def test_engines_agree_on_large_ladders():
 
 def test_many_pieces_boundary():
     """A boundary rising by 2 at every column (b = 2a + 1, f(x) = 2x + 2),
-    a = 30: one piece per column for the recursive engine.  Only 1 x 1
-    minors fit this boundary, so n = 2 runs as a path family."""
-    a = 30
-    lad = validate_ladder(a, 2 * a + 1, [2 * x + 2 for x in range(a + 1)])
+    a = 30 and 80: one piece per column.  Only 1 x 1 minors fit this
+    boundary, so n = 2 runs as a path family."""
     t0 = time.perf_counter()
-    for m in (Bivector((1,), (1,)), Bivector((2,), (1,))):
-        assert hilbert_series(lad, m, "recursive") == hilbert_series(lad, m, "direct"), m
-    starts, ends = ((0, 1), (0, 0)), ((a - 1, 2 * a - 1), (a, 2 * a - 1))
-    assert path_gf(lad, starts, ends, "recursive") == path_gf(lad, starts, ends, "direct")
+    for a in (30, 80):
+        lad = validate_ladder(a, 2 * a + 1, [2 * x + 2 for x in range(a + 1)])
+        for m in (Bivector((1,), (1,)), Bivector((2,), (1,))):
+            assert hilbert_series(lad, m, "recursive") == hilbert_series(lad, m, "direct"), (a, m)
+        starts, ends = ((0, 1), (0, 0)), ((a - 1, 2 * a - 1), (a, 2 * a - 1))
+        assert path_gf(lad, starts, ends, "recursive") == path_gf(lad, starts, ends, "direct"), a
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -192,6 +201,36 @@ def test_recursive_engine_never_calls_direct_sum(monkeypatch):
             assert _digest(hs) == CLIFF_PINS[L], L
     for lad, m in _large_queries():
         assert hilbert_series(lad, m, "recursive").z_coefficients[0] == 1, (lad.values, m)
+
+
+def test_partitioned_windows_stay_below_eps2(monkeypatch):
+    """The engine splits off the first-row columns whose boundary reaches
+    eps_2 + 1 before it partitions a window, so ``_Engine._pieces`` never
+    meets such a column: with ``_pieces`` made to raise on one, the engine
+    still answers the flagship, the cliff ladders (L = 9..14) and the 40
+    large queries."""
+    pieces = _Engine._pieces
+    calls = 0
+
+    def below_eps2(self, a1, a2, e1, e2):
+        nonlocal calls
+        calls += 1
+        # f is weakly increasing: the window's last column holds its maximum
+        if e1 >= a1 and self.ladder.value(e1) >= e2 + 1:
+            raise RuntimeError(f"window {(a1, a2, e1, e2)} has a column with f >= eps_2 + 1")
+        return pieces(self, a1, a2, e1, e2)
+
+    monkeypatch.setattr(_Engine, "_pieces", below_eps2)
+    hs = hilbert_series(flagship_ladder(), flagship_bivector(), "recursive")
+    assert list(hs.z_coefficients) == FLAGSHIP_NUMERATOR
+    for L in range(9, 15):
+        hs = hilbert_series(cliff_ladder(L), CLIFF_MINOR, "recursive")
+        assert hs.denom_exponent == 149, L
+        if L in CLIFF_PINS:
+            assert _digest(hs) == CLIFF_PINS[L], L
+    for lad, m in _large_queries():
+        assert hilbert_series(lad, m, "recursive").z_coefficients[0] == 1, (lad.values, m)
+    assert calls >= 1000
 
 
 def test_direct_engine_uses_no_closed_form(monkeypatch):
