@@ -42,7 +42,10 @@ Two evaluation strategies are provided:
   sums, products and set differences.
   Each closed form is written once, as a generator of its terms; the
   public function builds a HalfPolynomial from it, and the engine shifts
-  the same terms straight into its packed integer.
+  the same terms straight into its packed integer.  The pinned-start
+  forms ``gf_star_trivial`` and ``gf_star_diagonal`` are no further
+  formulas: each is its form at first-row start alpha_1 minus the same
+  form at alpha_1 + 1, the difference the engine's memo takes.
 
 Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
 before analysing its shape; values outside that window constrain nothing,
@@ -65,7 +68,7 @@ from .errors import (
     StarRequiresNonemptyFirstColumn,
 )
 from .model import LadderFunction, LatticePoint, as_point
-from .polyring import HalfPolynomial, binomial
+from .polyring import HalfPolynomial, _unpack, binomial
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,12 @@ def partition_border(ladder: LadderFunction) -> list[BorderPiece]:
 # closed forms on shape-free / single-shape boundaries
 # ---------------------------------------------------------------------------
 
-def _star_k_range(l: int, w1: int, w2: int) -> range:
-    """Second-row lengths k that can carry a nonzero pinned-start term."""
-    kmin = max(0, -l)
-    kmax = min(max(0, w1) - l + 1, max(0, w2))
-    return range(kmin, max(kmin, kmax) + 1)
+def _require_star(alpha: LatticePoint, eps: LatticePoint) -> None:
+    """A pinned-start set needs a first-row range to pin: alpha_1 <= eps_1."""
+    if alpha.x > eps.x:
+        raise StarRequiresNonemptyFirstColumn(
+            f"alpha_1 = {alpha.x} > eps_1 = {eps.x}"
+        )
 
 
 def _trivial_terms(l: int, a1: int, a2: int, e1: int, e2: int) -> Iterator[tuple[int, int]]:
@@ -184,19 +188,11 @@ def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
 
 
 def gf_star_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
-    """Unrestricted arrays whose first row starts exactly at alpha_1."""
+    """Unrestricted arrays whose first row starts exactly at alpha_1: the
+    form at start alpha_1 minus the form at start alpha_1 + 1."""
     alpha, eps = as_point(alpha), as_point(eps)
-    if alpha.x > eps.x:
-        raise StarRequiresNonemptyFirstColumn(
-            f"alpha_1 = {alpha.x} > eps_1 = {eps.x}"
-        )
-    w1, w2 = eps.x - alpha.x, eps.y - alpha.y + 1
-    terms = {}
-    for k in _star_k_range(l, w1, w2):
-        c = binomial(w1, k + l - 1) * binomial(w2, k)
-        if c:
-            terms[2 * k + l] = c
-    return HalfPolynomial.from_dict(terms)
+    _require_star(alpha, eps)
+    return gf_trivial(l, alpha, eps) - gf_trivial(l, (alpha.x + 1, alpha.y), eps)
 
 
 def _check_diagonal_pre(l, alpha, eps, D, d):
@@ -238,22 +234,12 @@ def gf_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
 
 
 def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
-    """Diagonal boundary, first row pinned to start at alpha_1."""
+    """Diagonal boundary, first row pinned to start at alpha_1: the form at
+    start alpha_1 minus the form at start alpha_1 + 1, whose hypotheses
+    follow from those at alpha_1."""
     alpha, eps = as_point(alpha), as_point(eps)
-    if alpha.x > eps.x:
-        raise StarRequiresNonemptyFirstColumn(
-            f"alpha_1 = {alpha.x} > eps_1 = {eps.x}"
-        )
-    _check_diagonal_pre(l, alpha, eps, D, d)
-    w1, w2 = eps.x - alpha.x, eps.y - alpha.y + 1
-    terms = {}
-    for k in _star_k_range(l, w1, w2):
-        c = binomial(w1, k + l - 1) * binomial(w2, k) - binomial(
-            eps.x - alpha.y + D + 1, k - d - 1
-        ) * binomial(eps.y - alpha.x - D, k + l + d)
-        if c:
-            terms[2 * k + l] = c
-    return HalfPolynomial.from_dict(terms)
+    _require_star(alpha, eps)
+    return gf_diagonal(l, alpha, eps, D, d) - gf_diagonal(l, (alpha.x + 1, alpha.y), eps, D, d)
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +349,6 @@ def _pack_terms(terms: Iterable[tuple[int, int]], k: int) -> int:
 def _pack(p: HalfPolynomial, k: int) -> int:
     """p evaluated at q = 2^k; raises ValueError as ``_pack_terms`` does."""
     return _pack_terms(enumerate(p.coeffs), k)
-
-
-def _unpack(v: int, k: int) -> HalfPolynomial:
-    """The polynomial whose base-2^k digits are v's; inverse of ``_pack``.
-
-    Raises ValueError on a negative v, which no digit string represents,
-    and on k < 1, which has no digits to read.
-    """
-    if v < 0 or k < 1:
-        raise ValueError(f"cannot read packed value {v} in base 2^{k}")
-    mask = (1 << k) - 1
-    coeffs = []
-    while v:
-        coeffs.append(v & mask)
-        v >>= k
-    return HalfPolynomial(coeffs)
 
 
 class _Engine:
@@ -571,8 +541,5 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
 def gf_star_recursive(spec: TASpec) -> HalfPolynomial:
     """Border peeling for arrays whose first row starts exactly at alpha_1."""
     _require_engine_pre(spec)
-    if spec.start.x > spec.end.x:
-        raise StarRequiresNonemptyFirstColumn(
-            f"alpha_1 = {spec.start.x} > eps_1 = {spec.end.x}"
-        )
+    _require_star(spec.start, spec.end)
     return _Engine(spec.ladder, [spec]).gf(spec, star=True)

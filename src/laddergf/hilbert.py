@@ -24,7 +24,7 @@ from .model import (
     endpoints_from_bivector,
     validate_general_endpoints,
 )
-from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _pack, to_z_polynomial
+from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _pack, _unpack, to_z_polynomial
 
 METHODS = ("direct", "recursive")
 
@@ -89,10 +89,7 @@ class GFMatrix:
             raise MismatchFound(
                 f"determinant is negative at z = 2^{k}, so it does not count "
                 "path families")
-        mask, z_coeffs = (1 << k) - 1, []
-        while v:
-            z_coeffs.append(v & mask)
-            v >>= k
+        z_coeffs = _unpack(v, k).coeffs
         if sum(z_coeffs) != families:
             raise MismatchFound(
                 f"determinant coefficients sum to {sum(z_coeffs)}, not to the "
@@ -162,6 +159,5 @@ def hilbert_series(
     """
     cfg = endpoints_from_bivector(ladder, m)
     matrix = build_gf_matrix(ladder, cfg, method)
-    numerator = to_z_polynomial(matrix.determinant())
     exponent = (ladder.a + ladder.b + 3) * m.n - sum(m.u) - sum(m.v)
-    return HilbertSeries(numerator, exponent)
+    return HilbertSeries(matrix.determinant(), exponent)

@@ -11,6 +11,11 @@ any signed matrix; the pipeline determinant (``GFMatrix.determinant``) takes
 it from the number D of path families, since by the path-family theorem its
 coefficients are nonnegative and sum to D.
 
+This module owns that base-2^k digit format: ``_pack`` evaluates a
+polynomial at 2^k, ``_unpack`` reads unsigned digits back (the pipeline
+determinant and the ``genfun`` recursive engine both use it), and
+``_bareiss`` eliminates on the packed integers.
+
 Everything here is immutable and pure; concurrent callers need no locks.
 """
 
@@ -191,6 +196,22 @@ def _pack(coeffs: Sequence[int], k: int) -> int:
     for c in reversed(coeffs):
         v = (v << k) + c
     return v
+
+
+def _unpack(v: int, k: int) -> HalfPolynomial:
+    """The polynomial whose base-2^k digits are v's; inverse of ``_pack``.
+
+    Raises ValueError on a negative v, which no digit string represents,
+    and on k < 1, which has no digits to read.
+    """
+    if v < 0 or k < 1:
+        raise ValueError(f"cannot read packed value {v} in base 2^{k}")
+    mask = (1 << k) - 1
+    coeffs = []
+    while v:
+        coeffs.append(v & mask)
+        v >>= k
+    return HalfPolynomial(coeffs)
 
 
 def _bareiss(m: list[list[int]]) -> int:

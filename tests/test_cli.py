@@ -5,6 +5,7 @@ import json
 import pytest
 
 import laddergf.genfun
+import laddergf.oracle
 from laddergf import HalfPolynomial
 from laddergf.cli import main, render_z_poly
 from helpers import FLAGSHIP_F, FLAGSHIP_NUMERATOR, FLAGSHIP_U, FLAGSHIP_V
@@ -131,6 +132,21 @@ def test_method_rejected_where_both_engines_run(capsys, small_instance, command)
 
 
 def test_verify_guard_exits_4(capsys, tmp_path):
+    path = write_instance(tmp_path, a=13, b=15, f=FLAGSHIP_F,
+                          u=list(FLAGSHIP_U), v=list(FLAGSHIP_V))
+    code, _, err = run(capsys, ["verify", "--input", path, "--scope", "tagf"])
+    assert code == 4
+    assert "guard" in err
+
+
+def test_verify_guard_precedes_enumeration(capsys, tmp_path, monkeypatch):
+    """The flagship's entry 6 trips the guard, so no entry is enumerated:
+    every entry's candidate count is checked before the oracle runs."""
+
+    def unavailable(spec):
+        raise RuntimeError("the oracle ran before the guard was checked")
+
+    monkeypatch.setattr(laddergf.oracle, "enumerate_arrays", unavailable)
     path = write_instance(tmp_path, a=13, b=15, f=FLAGSHIP_F,
                           u=list(FLAGSHIP_U), v=list(FLAGSHIP_V))
     code, _, err = run(capsys, ["verify", "--input", path, "--scope", "tagf"])

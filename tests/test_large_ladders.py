@@ -120,14 +120,15 @@ def test_family_count_packing_at_large_n():
     assert time.perf_counter() - t0 < 60.0
 
 
-def _climbing_ladder(rng: random.Random, style: str):
-    """a, b in 20..30; a flat top block at b + 1 after a climbing boundary.
+def _climbing_ladder(rng: random.Random, style: str, size=(20, 30)):
+    """a, b in the size range (20..30 by default); a flat top block at b + 1
+    after a climbing boundary.
 
     ``diagonal``: diagonal runs of 4..12 columns separated by flat columns or
     jumps, the last run ending 1..3 rows under the top.  ``pieces``: a rise
     of 0..3 at every column, so the boundary has many short pieces.
     """
-    a, b = rng.randint(20, 30), rng.randint(20, 30)
+    a, b = rng.randint(*size), rng.randint(*size)
     tail = rng.randint(2, 5)
     top = b + 1 - rng.randint(1, 3)
     final = rng.randint(4, 12) if style == "diagonal" else 0
@@ -169,6 +170,20 @@ def test_engines_agree_on_large_ladders():
         rec = hilbert_series(lad, m, "recursive")
         assert hilbert_series(lad, m, "direct") == rec, (lad.values, m)
         assert rec.z_coefficients[0] == 1
+
+
+def test_engines_agree_on_larger_ladders():
+    """direct == recursive on 20 seeded queries with a, b in 40..60, half
+    diagonal-heavy and half with many pieces, inside the 60-s budget."""
+    rng = random.Random(4060)
+    t0 = time.perf_counter()
+    for k in range(20):
+        lad = _climbing_ladder(rng, "diagonal" if k % 2 else "pieces", size=(40, 60))
+        m = random_bivector(rng, lad, nmax=4)
+        rec = hilbert_series(lad, m, "recursive")
+        assert hilbert_series(lad, m, "direct") == rec, (lad.values, m)
+        assert rec.z_coefficients[0] == 1
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_many_pieces_boundary():
