@@ -11,8 +11,10 @@ An instance file is a single JSON document:
 
 "f" has a+1 weakly increasing values; "u"/"v" give the cogenerating minor
 for the ``hilbert`` subcommand; "starts"/"ends" give explicit path endpoints
-for ``pathgf``.  Coefficients print as exact decimal strings because they
-routinely exceed 64-bit range.
+for ``pathgf``.  ``verify`` and ``bench`` take the explicit endpoints, else
+the minor's; ``bench`` times both engines on that turn generating function.
+Coefficients print as exact decimal strings because they routinely exceed
+64-bit range.
 
 Exit codes: 0 success, 2 validation error, 3 verification mismatch,
 4 resource guard tripped.
@@ -34,7 +36,7 @@ from .errors import (
     MismatchFound,
     ValidationError,
 )
-from .hilbert import hilbert_series, matrix_specs, path_gf
+from .hilbert import METHODS, hilbert_series, matrix_specs, path_gf
 from .model import (
     Bivector,
     EndpointConfig,
@@ -43,7 +45,7 @@ from .model import (
     validate_general_endpoints,
     validate_ladder,
 )
-from .polyring import HalfPolynomial, series_expand
+from .polyring import HalfPolynomial, HilbertSeries, _format_poly, series_expand
 
 ORACLE_ARRAY_GUARD = 2_000_000   # candidate row pairs per matrix entry
 ORACLE_FAMILY_GUARD = 10**7     # candidate path families
@@ -57,120 +59,132 @@ class ProblemInstance:
     ends: tuple | None
 
 
+def _ints(value) -> bool:
+    """A list of ints; a bool or a float is no int here."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+# instance fields, what each must hold, and how to say so
+FIELD_RULES = (
+    (("a", "b"), lambda v: _ints([v]), "an integer"),
+    (("f", "u", "v"), _ints, "a list of integers"),
+    (("starts", "ends"), lambda v: isinstance(v, list) and all(
+        _ints(p) and len(p) == 2 for p in v), "a list of [x, y] integer pairs"),
+)
+
+
 def load_instance(path: str) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: not a JSON object")
     for key in ("a", "b", "f"):
         if key not in data:
             raise ValidationError(f"{path}: missing required key {key!r}")
-    ladder = validate_ladder(int(data["a"]), int(data["b"]), list(data["f"]))
-    bivector = None
-    if "u" in data or "v" in data:
-        if "u" not in data or "v" not in data:
-            raise ValidationError(f"{path}: provide both 'u' and 'v' or neither")
-        bivector = Bivector(tuple(data["u"]), tuple(data["v"]))
-    starts = ends = None
-    if "starts" in data or "ends" in data:
-        if "starts" not in data or "ends" not in data:
-            raise ValidationError(f"{path}: provide both 'starts' and 'ends' or neither")
-        starts = tuple((int(p[0]), int(p[1])) for p in data["starts"])
-        ends = tuple((int(p[0]), int(p[1])) for p in data["ends"])
+    for keys, valid, what in FIELD_RULES:
+        for key in keys:
+            if key in data and not valid(data[key]):
+                raise ValidationError(f"{path}: {key!r} must be {what}")
+    for one, other in (("u", "v"), ("starts", "ends")):
+        if (one in data) != (other in data):
+            raise ValidationError(f"{path}: provide both {one!r} and {other!r} or neither")
+    ladder = validate_ladder(data["a"], data["b"], data["f"])
+    bivector = Bivector(tuple(data["u"]), tuple(data["v"])) if "u" in data else None
+    starts, ends = (tuple(map(tuple, data[key])) if key in data else None
+                    for key in ("starts", "ends"))
     return ProblemInstance(ladder, bivector, starts, ends)
 
 
 def _z_strings(poly: HalfPolynomial) -> list[str]:
-    cs = poly.coeffs
-    return [str(cs[k]) for k in range(0, len(cs), 2)]
+    return [str(c) for c in poly.coeffs[::2]]
 
 
 def render_z_poly(coeffs: list[str]) -> str:
-    parts = []
-    for k, c in enumerate(coeffs):
-        val = int(c)
-        if val == 0:
-            continue
-        var = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-        if not var:
-            parts.append(str(val))
-        elif abs(val) == 1:
-            parts.append(var if val == 1 else f"-{var}")
-        else:
-            parts.append(f"{val}*{var}")
-    if not parts:
-        return "0"
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def _require(instance: ProblemInstance, what: str):
-    if what == "bivector" and instance.bivector is None:
-        raise ValidationError("instance has no 'u'/'v' bivector")
-    if what == "endpoints" and instance.starts is None:
-        raise ValidationError("instance has no 'starts'/'ends' endpoints")
+    return _format_poly([int(c) for c in coeffs], "z")
 
 
 def _endpoint_config(instance: ProblemInstance) -> EndpointConfig:
+    """The instance's path endpoints: explicit ``starts``/``ends``, else the
+    minor's."""
     if instance.starts is not None:
         return validate_general_endpoints(
             instance.ladder, instance.starts, instance.ends
         )
-    _require(instance, "bivector")
+    if instance.bivector is None:
+        raise ValidationError("instance has neither 'starts'/'ends' nor 'u'/'v'")
     return endpoints_from_bivector(instance.ladder, instance.bivector)
 
 
-def cmd_hilbert(instance: ProblemInstance, method: str, series_terms: int) -> dict:
-    _require(instance, "bivector")
-    if method == "both":
-        series_r = hilbert_series(instance.ladder, instance.bivector, "recursive")
-        series_d = hilbert_series(instance.ladder, instance.bivector, "direct")
-        _compare("hilbert numerator", series_d.numerator, series_r.numerator)
-        series = series_r
-    else:
-        series = hilbert_series(instance.ladder, instance.bivector, method)
+def _difference(left: HalfPolynomial, right: HalfPolynomial) -> str | None:
+    """Where two polynomials first differ, or None if they are equal."""
+    for k in range(max(left.degree, right.degree) + 1):
+        if left.coefficient(k) != right.coefficient(k):
+            return (f"first differing coefficient at q^{k}: "
+                    f"{left.coefficient(k)} vs {right.coefficient(k)}")
+    return None
+
+
+def _require_equal(name: str, difference: str | None) -> None:
+    if difference is not None:
+        raise MismatchFound(f"{name}: {difference}")
+
+
+def _run_engines(methods, compute) -> tuple[object, dict[str, float], str | None]:
+    """Run ``compute(method)`` for each method in turn, timed: the first
+    result, the seconds per method, and ``_difference`` of the first and
+    last results (a HilbertSeries compared by its numerator)."""
+    results, seconds = [], {}
+    for method in methods:
+        t0 = time.perf_counter()
+        results.append(compute(method))
+        seconds[method] = time.perf_counter() - t0
+    first, last = (r.numerator if isinstance(r, HilbertSeries) else r
+                   for r in (results[0], results[-1]))
+    return results[0], seconds, _difference(first, last)
+
+
+def _answer(name: str, method: str, compute):
+    """The chosen engine's result; with ``both``, the recursive engine's once
+    the direct one agrees with it."""
+    result, _, difference = _run_engines(
+        METHODS if method == "both" else (method,), compute)
+    _require_equal(name, difference)
+    return result
+
+
+def cmd_hilbert(instance: ProblemInstance, args) -> dict:
+    if instance.bivector is None:
+        raise ValidationError("instance has no 'u'/'v' bivector")
+    series = _answer("hilbert numerator", args.method,
+                     lambda m: hilbert_series(instance.ladder, instance.bivector, m))
     payload = {
         "numerator": _z_strings(series.numerator),
         "denominator_exponent": series.denom_exponent,
-        "method": method,
+        "method": args.method,
     }
-    if series_terms > 0:
+    if args.series_terms:
         payload["hilbert_function"] = [
-            str(v) for v in series_expand(series, series_terms)
+            str(v) for v in series_expand(series, args.series_terms)
         ]
     return payload
 
 
-def cmd_pathgf(instance: ProblemInstance, method: str) -> dict:
-    _require(instance, "endpoints")
-    if method == "both":
-        gf_r = path_gf(instance.ladder, instance.starts, instance.ends, "recursive")
-        gf_d = path_gf(instance.ladder, instance.starts, instance.ends, "direct")
-        _compare("turn generating function", gf_d, gf_r)
-        gf = gf_r
-    else:
-        gf = path_gf(instance.ladder, instance.starts, instance.ends, method)
-    return {"turn_gf": _z_strings(gf), "method": method}
+def cmd_pathgf(instance: ProblemInstance, args) -> dict:
+    if instance.starts is None:
+        raise ValidationError("instance has no 'starts'/'ends' endpoints")
+    gf = _answer("turn generating function", args.method,
+                 lambda m: path_gf(instance.ladder, instance.starts, instance.ends, m))
+    return {"turn_gf": _z_strings(gf), "method": args.method}
 
 
-def _compare(name: str, left: HalfPolynomial, right: HalfPolynomial) -> None:
-    if left == right:
-        return
-    top = max(left.degree, right.degree)
-    for k in range(top + 1):
-        if left.coefficient(k) != right.coefficient(k):
-            raise MismatchFound(
-                f"{name}: first differing coefficient at q^{k}: "
-                f"{left.coefficient(k)} vs {right.coefficient(k)}"
-            )
-    raise MismatchFound(f"{name}: polynomials differ")  # pragma: no cover
-
-
-def cmd_verify(instance: ProblemInstance, scope: str) -> dict:
+def cmd_verify(instance: ProblemInstance, args) -> dict:
     checks = []
-    if scope in ("tagf", "all"):
-        rows = matrix_specs(instance.ladder, _endpoint_config(instance))
-        specs = [spec for row in rows for spec in row]
+    cfg = _endpoint_config(instance)
+    if args.scope in ("tagf", "all"):
+        specs = [spec for row in matrix_specs(instance.ladder, cfg) for spec in row]
         # the oracle tries every unrestricted array: the trivial form at q = 1
         for i, spec in enumerate(specs):
             if sum(genfun.gf_trivial(spec.l, spec.start, spec.end).coeffs) > ORACLE_ARRAY_GUARD:
@@ -179,55 +193,47 @@ def cmd_verify(instance: ProblemInstance, scope: str) -> dict:
                 )
         for i, spec in enumerate(specs):
             truth = oracle.enumerate_arrays(spec)
-            _compare(f"entry {i} (recursive vs oracle)", genfun.gf_recursive(spec), truth)
-            _compare(f"entry {i} (direct vs oracle)", genfun.gf_direct(spec), truth)
+            for method, gf in (("recursive", genfun.gf_recursive), ("direct", genfun.gf_direct)):
+                _require_equal(f"entry {i} ({method} vs oracle)", _difference(gf(spec), truth))
             checks.append({"check": f"tagf entry {i}", "status": "ok"})
-    if scope in ("pathgf", "all"):
-        cfg = _endpoint_config(instance)
+    if args.scope in ("pathgf", "all"):
         truth = oracle.enumerate_path_families(
             instance.ladder, cfg.starts, cfg.ends, max_candidates=ORACLE_FAMILY_GUARD
         )
-        for method in ("recursive", "direct"):
+        for method in METHODS:
             got = path_gf(instance.ladder, cfg.starts, cfg.ends, method)
-            _compare(f"path gf ({method} vs oracle)", got, truth)
+            _require_equal(f"path gf ({method} vs oracle)", _difference(got, truth))
             checks.append({"check": f"pathgf {method}", "status": "ok"})
-    return {"scope": scope, "checks": checks, "status": "ok"}
+    return {"scope": args.scope, "checks": checks, "status": "ok"}
 
 
-def cmd_bench(instance: ProblemInstance) -> dict:
-    def run(method: str):
-        t0 = time.perf_counter()
-        if instance.bivector is not None:
-            result = hilbert_series(instance.ladder, instance.bivector, method).numerator
-        else:
-            _require(instance, "endpoints")
-            result = path_gf(instance.ladder, instance.starts, instance.ends, method)
-        return time.perf_counter() - t0, result
-
-    t_rec, out_rec = run("recursive")
-    t_dir, out_dir = run("direct")
+def cmd_bench(instance: ProblemInstance, args) -> dict:
+    cfg = _endpoint_config(instance)
+    _, seconds, difference = _run_engines(
+        METHODS, lambda m: path_gf(instance.ladder, cfg.starts, cfg.ends, m))
+    t_rec, t_dir = seconds["recursive"], seconds["direct"]
     return {
         "times_seconds": {"direct": round(t_dir, 6), "recursive": round(t_rec, 6)},
         "ratio_direct_over_recursive": round(t_dir / t_rec, 3) if t_rec > 0 else None,
-        "results_match": out_rec == out_dir,
+        "results_match": difference is None,
     }
 
 
-def _render(payload: dict, fmt: str, command: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if command == "hilbert":
-        numerator = render_z_poly(payload["numerator"])
-        text = f"({numerator}) / (1 - z)^{payload['denominator_exponent']}\n"
-        if "hilbert_function" in payload:
-            text += "hilbert function: " + ", ".join(payload["hilbert_function"]) + "\n"
-        return text
-    if command == "pathgf":
-        return render_z_poly(payload["turn_gf"]) + "\n"
-    if command == "verify":
-        lines = [f"{c['check']}: {c['status']}" for c in payload["checks"]]
-        lines.append(f"verify [{payload['scope']}]: {payload['status']}")
-        return "\n".join(lines) + "\n"
+def _pretty_hilbert(payload: dict) -> str:
+    numerator = render_z_poly(payload["numerator"])
+    text = f"({numerator}) / (1 - z)^{payload['denominator_exponent']}\n"
+    if "hilbert_function" in payload:
+        text += "hilbert function: " + ", ".join(payload["hilbert_function"]) + "\n"
+    return text
+
+
+def _pretty_verify(payload: dict) -> str:
+    lines = [f"{c['check']}: {c['status']}" for c in payload["checks"]]
+    lines.append(f"verify [{payload['scope']}]: {payload['status']}")
+    return "\n".join(lines) + "\n"
+
+
+def _pretty_bench(payload: dict) -> str:
     times = payload["times_seconds"]
     return (
         f"recursive: {times['recursive']}s\n"
@@ -237,54 +243,47 @@ def _render(payload: dict, fmt: str, command: str) -> str:
     )
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser.  Each subcommand's defaults hold its handler ``run``,
+    called with the instance and the arguments, and its ``pretty`` renderer."""
     parser = argparse.ArgumentParser(
         prog="laddergf",
         description="Exact Hilbert series of one-sided ladder determinantal rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=False):
+    def command(name, help, run, pretty, method=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--input", required=True, help="instance JSON file")
         if method:
-            p.add_argument(
-                "--method",
-                choices=("direct", "recursive", "both"),
-                default="recursive",
-            )
+            p.add_argument("--method", choices=(*METHODS, "both"), default="recursive")
         p.add_argument("--format", choices=("json", "pretty"), default="json")
+        p.set_defaults(run=run, pretty=pretty)
+        return p
 
-    p_hilbert = sub.add_parser("hilbert", help="Hilbert series from a bivector")
-    common(p_hilbert, method=True)
-    p_hilbert.add_argument(
-        "--series-terms", type=int, default=0,
-        help="also print this many Hilbert function values",
-    )
-
-    p_pathgf = sub.add_parser("pathgf", help="turn generating function from endpoints")
-    common(p_pathgf, method=True)
-
-    p_verify = sub.add_parser("verify", help="cross-check methods against brute force")
-    common(p_verify)
-    p_verify.add_argument("--scope", choices=("tagf", "pathgf", "all"), default="all")
-
-    p_bench = sub.add_parser("bench", help="time both methods on the instance")
-    common(p_bench)
+    command("hilbert", "Hilbert series from a bivector", cmd_hilbert, _pretty_hilbert,
+            method=True).add_argument("--series-terms", type=_nonnegative_int, default=0,
+                                      help="also print this many Hilbert function values")
+    command("pathgf", "turn generating function from endpoints", cmd_pathgf,
+            lambda payload: render_z_poly(payload["turn_gf"]) + "\n", method=True)
+    command("verify", "cross-check methods against brute force", cmd_verify,
+            _pretty_verify).add_argument("--scope", choices=("tagf", "pathgf", "all"),
+                                         default="all")
+    command("bench", "time both methods on the instance's endpoints", cmd_bench,
+            _pretty_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        instance = load_instance(args.input)
-        if args.command == "hilbert":
-            payload = cmd_hilbert(instance, args.method, args.series_terms)
-        elif args.command == "pathgf":
-            payload = cmd_pathgf(instance, args.method)
-        elif args.command == "verify":
-            payload = cmd_verify(instance, args.scope)
-        else:
-            payload = cmd_bench(instance)
+        payload = args.run(load_instance(args.input), args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -300,7 +299,8 @@ def main(argv=None) -> int:
     except LadderError as exc:  # anything else from the library is a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(_render(payload, args.format, args.command))
+    text = json.dumps(payload, indent=2) + "\n" if args.format == "json" else args.pretty(payload)
+    sys.stdout.write(text)
     return 0
 
 

@@ -58,7 +58,7 @@ bisection.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Iterable, Iterator, Literal
 
@@ -419,18 +419,15 @@ class _Engine:
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
 
-    def gf(self, spec: TASpec, star: bool = False) -> HalfPolynomial:
-        """The generating function of spec (pinned start if ``star``),
-        unpacked; spec must be no wider than those the engine was made for."""
+    def gf(self, spec: TASpec) -> HalfPolynomial:
+        """The generating function of spec, unpacked; spec must be no wider
+        than those the engine was made for."""
         if _row_slots(spec) >= self.k:
             raise PreconditionViolated(
                 f"spec spans {_row_slots(spec)} row slots; the engine packs "
                 f"at most {self.k - 1}"
             )
-        l, a1, a2, e1, e2, d = spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d
-        v = self.eval(l, a1, a2, e1, e2, d)
-        if star:
-            v -= self.eval(l, a1 + 1, a2, e1, e2, d)
+        v = self.eval(spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d)
         return _unpack(v, self.k)
 
     def _pieces(self, a1, a2, e1, e2) -> list[tuple[int, int, bool, int]]:
@@ -539,7 +536,10 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
 
 
 def gf_star_recursive(spec: TASpec) -> HalfPolynomial:
-    """Border peeling for arrays whose first row starts exactly at alpha_1."""
+    """Border peeling for arrays whose first row starts exactly at alpha_1:
+    the value at spec minus the value at first-row start alpha_1 + 1, both
+    from one engine."""
     _require_engine_pre(spec)
     _require_star(spec.start, spec.end)
-    return _Engine(spec.ladder, [spec]).gf(spec, star=True)
+    engine = _Engine(spec.ladder, [spec])
+    return engine.gf(spec) - engine.gf(replace(spec, start=(spec.start.x + 1, spec.start.y)))

@@ -26,7 +26,7 @@ from .model import (
 )
 from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _pack, _unpack, to_z_polynomial
 
-METHODS = ("direct", "recursive")
+METHODS = ("recursive", "direct")  # the default first
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,7 @@ def hilbert_series(
     """Hilbert series of the ladder determinantal ring cogenerated by m.
 
     The recursive method is the default.  Both methods take polynomial
-    time.  The recursive one is faster on the bundled 14x16 example (about
-    5x), on long diagonal stretches and on boundaries made of many short
-    pieces: on a boundary that rises by 2 at every column, with a 1 x 1
-    minor, 0.020 s against 0.064 s at a = 50 and 0.065 s against 0.29 s at
-    a = 80 (2-vCPU Xeon VM, Python 3.11).
+    time; README compares their speed.
     """
     cfg = endpoints_from_bivector(ladder, m)
     matrix = build_gf_matrix(ladder, cfg, method)

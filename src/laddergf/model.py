@@ -32,9 +32,6 @@ class LatticePoint(NamedTuple):
     x: int
     y: int
 
-    def shifted(self, dx: int, dy: int) -> "LatticePoint":
-        return LatticePoint(self.x + dx, self.y + dy)
-
 
 def as_point(p) -> LatticePoint:
     """Coerce an (x, y) pair into a LatticePoint."""
@@ -197,12 +194,12 @@ class EndpointConfig:
         object.__setattr__(
             self,
             "shifted_starts",
-            tuple(p.shifted(-i, i + 1) for i, p in enumerate(starts)),
+            tuple(LatticePoint(x - i, y + i + 1) for i, (x, y) in enumerate(starts)),
         )
         object.__setattr__(
             self,
             "shifted_ends",
-            tuple(p.shifted(-(i + 1), i) for i, p in enumerate(ends)),
+            tuple(LatticePoint(x - i - 1, y + i) for i, (x, y) in enumerate(ends)),
         )
 
     @property

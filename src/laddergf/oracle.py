@@ -50,8 +50,9 @@ class LatticePath:
 
 @dataclass(frozen=True)
 class PathFamily:
-    """A tuple of lattice paths; the enumerator below only yields
-    pairwise point-disjoint families."""
+    """A tuple of lattice paths.  Nothing checks that they are pairwise
+    point-disjoint; ``enumerate_path_families`` counts such families
+    without building this type."""
 
     paths: tuple[LatticePath, ...]
 

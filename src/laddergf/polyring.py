@@ -111,12 +111,6 @@ class HalfPolynomial:
         """Exponents with nonzero coefficient, ascending."""
         return (k for k, c in enumerate(self._coeffs) if c)
 
-    def shifted(self, k: int) -> "HalfPolynomial":
-        """Multiply by q^k."""
-        if self.is_zero():
-            return self
-        return HalfPolynomial((0,) * k + self._coeffs)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -170,23 +164,23 @@ class HalfPolynomial:
         return f"HalfPolynomial({list(self._coeffs)})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _format_poly(self._coeffs, "q")
+
+
+def _format_poly(coeffs: Sequence[int], var: str) -> str:
+    """Coefficients of var^0, var^1, ... as a sum such as "1 - 2*q + q^3"."""
+    parts = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        power = var if k == 1 else f"{var}^{k}"
+        if k == 0:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(power if c == 1 else f"-{power}")
+        else:
+            parts.append(f"{c}*{power}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def _pack(coeffs: Sequence[int], k: int) -> int:

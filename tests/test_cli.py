@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+import laddergf.cli
 import laddergf.genfun
 import laddergf.oracle
-from laddergf import HalfPolynomial
+from laddergf import HalfPolynomial, HilbertSeries
 from laddergf.cli import main, render_z_poly
 from helpers import FLAGSHIP_F, FLAGSHIP_NUMERATOR, FLAGSHIP_U, FLAGSHIP_V
 
@@ -204,3 +205,82 @@ def test_render_z_poly():
     assert render_z_poly(["0"]) == "0"
     assert render_z_poly(["2", "0", "7"]) == "2 + 7*z^2"
     assert render_z_poly(["1", "-1", "1"]) == "1 - z + z^2"
+
+
+@pytest.mark.parametrize("fields", [
+    {"a": "x"},
+    {"a": 1.7},
+    {"b": True},
+    {"f": 5},
+    {"f": [2.0, 2]},
+    {"u": ["1"]},
+    {"starts": [[0]], "ends": [[1, 1]]},
+    {"starts": [[0, 0]], "ends": [[1, "1"]]},
+], ids=str)
+def test_malformed_field_exits_2(capsys, tmp_path, fields):
+    instance = {"a": 1, "b": 1, "f": [2, 2], "u": [1], "v": [1], **fields}
+    command = "pathgf" if "starts" in fields else "hilbert"
+    code, _, err = run(capsys, [command, "--input", write_instance(tmp_path, **instance)])
+    assert code == 2
+    assert "validation error" in err
+    assert "Traceback" not in err
+
+
+def test_instance_not_an_object_exits_2(capsys, tmp_path):
+    path = tmp_path / "string.json"
+    path.write_text('"a b f"')
+    code, _, err = run(capsys, ["hilbert", "--input", str(path)])
+    assert code == 2
+    assert "validation error" in err
+
+
+def test_negative_series_terms_rejected(capsys, hypersurface):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--input", hypersurface, "--series-terms", "-3"])
+    assert exc.value.code == 2
+    assert "--series-terms" in capsys.readouterr().err
+
+
+def _skew_direct(monkeypatch, name):
+    """Make the CLI's ``name`` answer the direct engine with one extra q^2."""
+    real = getattr(laddergf.cli, name)
+    bump = HalfPolynomial.monomial(2)
+
+    def skewed(*args):
+        result = real(*args)
+        if args[-1] != "direct":
+            return result
+        if isinstance(result, HilbertSeries):
+            return HilbertSeries(result.numerator + bump, result.denom_exponent)
+        return result + bump
+
+    monkeypatch.setattr(laddergf.cli, name, skewed)
+
+
+@pytest.mark.parametrize("command, name", [("hilbert", "hilbert_series"),
+                                           ("pathgf", "path_gf")])
+def test_both_methods_disagreeing_exit_3(capsys, small_instance, monkeypatch, command, name):
+    _skew_direct(monkeypatch, name)
+    code, _, err = run(capsys, [command, "--input", small_instance, "--method", "both"])
+    assert code == 3
+    assert "differing coefficient" in err
+
+
+def test_bench_reports_disagreement(capsys, small_instance, monkeypatch):
+    _skew_direct(monkeypatch, "path_gf")
+    code, out, _ = run(capsys, ["bench", "--input", small_instance])
+    assert code == 0
+    assert json.loads(out)["results_match"] is False
+
+
+def test_bench_times_explicit_endpoints(capsys, small_instance, monkeypatch):
+    """With both a minor and explicit endpoints, bench times the endpoints'
+    turn generating function, as verify checks it; no Hilbert series runs."""
+
+    def unavailable(*args):
+        raise RuntimeError("bench computed a Hilbert series")
+
+    monkeypatch.setattr(laddergf.cli, "hilbert_series", unavailable)
+    code, out, err = run(capsys, ["bench", "--input", small_instance])
+    assert code == 0, err
+    assert json.loads(out)["results_match"] is True
