@@ -60,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 from .errors import (
     EndpointOutsideLadder,
@@ -246,7 +246,7 @@ def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
 # the direct multi-sum
 # ---------------------------------------------------------------------------
 
-def _direct_sum(fext: Callable[[int], int], l, a1, a2, e1, e2, d) -> HalfPolynomial:
+def _direct_sum(ladder: LadderFunction, l, a1, a2, e1, e2, d) -> HalfPolynomial:
     """Multi-sum over the coarsest constant partition of the clamped boundary.
 
     With g = clamp(f, [alpha_2, eps_2 + 1]) constant on position blocks
@@ -267,7 +267,7 @@ def _direct_sum(fext: Callable[[int], int], l, a1, a2, e1, e2, d) -> HalfPolynom
     (eps_1 < alpha_1) gives no block, and the top layer alone, with
     threshold alpha_2, counts the second rows; so no closed form is needed.
     """
-    g = [min(max(fext(x), a2), e2 + 1) for x in range(a1, e1 + 1)]
+    g = [min(max(ladder.value(x), a2), e2 + 1) for x in range(a1, e1 + 1)]
     svals = [e1] if g else []
     for x in range(e1 - 1, a1 - 1, -1):
         if g[x - a1] != g[x - a1 + 1]:
@@ -308,15 +308,8 @@ def _require_engine_pre(spec: TASpec) -> None:
 def gf_direct(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by the interval multi-sum."""
     _require_engine_pre(spec)
-    return _direct_sum(
-        spec.ladder.value,
-        spec.l,
-        spec.start.x,
-        spec.start.y,
-        spec.end.x,
-        spec.end.y,
-        spec.d,
-    )
+    return _direct_sum(spec.ladder, spec.l, spec.start.x, spec.start.y,
+                       spec.end.x, spec.end.y, spec.d)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     NotAnUpperLadder,
     NotWeaklyIncreasing,
     PointOutsideLadder,
+    ValidationError,
     ValueOutOfRange,
 )
 
@@ -33,12 +34,20 @@ class LatticePoint(NamedTuple):
     y: int
 
 
+def _require_int(value, what: str, error=ValidationError, index: int | None = None):
+    """Reject anything but an ``int``; a bool is no integer here."""
+    if type(value) is not int:
+        raise error(f"{what} = {value!r} must be an integer", index=index)
+
+
 def as_point(p) -> LatticePoint:
-    """Coerce an (x, y) pair into a LatticePoint."""
-    if isinstance(p, LatticePoint):
-        return p
-    x, y = p
-    return LatticePoint(int(x), int(y))
+    """An (x, y) pair of ``int``s as a LatticePoint.  Anything else, a bool or
+    a LatticePoint holding a float included, raises ValidationError."""
+    if not isinstance(p, (tuple, list)) or len(p) != 2:
+        raise ValidationError(f"point {p!r} is not an (x, y) pair")
+    for v in p:
+        _require_int(v, f"coordinate of point {tuple(p)}")
+    return p if isinstance(p, LatticePoint) else LatticePoint(*p)
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,8 @@ class LadderFunction:
 
 
 def _check_ladder(a: int, b: int, values: Sequence[int]) -> None:
+    _require_int(a, "a", ValueOutOfRange)
+    _require_int(b, "b", ValueOutOfRange)
     if a < 0 or b < 0:
         raise ValueOutOfRange(f"need a >= 0 and b >= 0, got a={a}, b={b}")
     if len(values) != a + 1:
@@ -89,6 +100,7 @@ def _check_ladder(a: int, b: int, values: Sequence[int]) -> None:
             f"need exactly a+1 = {a + 1} boundary values, got {len(values)}"
         )
     for i, v in enumerate(values):
+        _require_int(v, f"f({i})", ValueOutOfRange, index=i)
         if not 1 <= v <= b + 1:
             raise ValueOutOfRange(
                 f"f({i}) = {v} outside [1, {b + 1}]", index=i
@@ -101,7 +113,9 @@ def _check_ladder(a: int, b: int, values: Sequence[int]) -> None:
 
 
 def validate_ladder(a: int, b: int, values: Sequence[int]) -> LadderFunction:
-    """Build a LadderFunction, rejecting non-monotone or out-of-range input."""
+    """Build a LadderFunction, rejecting non-monotone or out-of-range input.
+    An a, b or boundary value that is not an ``int``, a bool included,
+    raises ValueOutOfRange."""
     return LadderFunction(a, b, tuple(values))
 
 
@@ -145,7 +159,8 @@ class Bivector:
     """The cogenerating minor [u_1..u_n | v_1..v_n].
 
     Both index sequences are strictly increasing positive integers of equal
-    length n >= 1.
+    length n >= 1.  An index that is not an ``int``, a bool included, raises
+    InvalidBivector.
     """
 
     u: tuple[int, ...]
@@ -159,6 +174,8 @@ class Bivector:
                 f"need equal nonempty rows, got |u|={len(self.u)}, |v|={len(self.v)}"
             )
         for name, seq in (("u", self.u), ("v", self.v)):
+            for i, w in enumerate(seq):
+                _require_int(w, f"{name}[{i}]", InvalidBivector, index=i)
             if seq[0] < 1:
                 raise InvalidBivector(f"{name}[0] = {seq[0]} must be >= 1", index=0)
             for i in range(len(seq) - 1):
@@ -284,7 +301,7 @@ def validate_general_endpoints(
     pts_e = tuple(as_point(p) for p in ends)
     for label, pts in (("start", pts_s), ("end", pts_e)):
         for i, p in enumerate(pts):
-            if p.x > ladder.a or not 0 <= p.y < ladder.value(p.x):
+            if not ladder.contains(p):
                 raise PointOutsideLadder(
                     f"{label} point {tuple(p)} outside the ladder region", index=i
                 )

@@ -226,6 +226,17 @@ def test_malformed_field_exits_2(capsys, tmp_path, fields):
     assert "Traceback" not in err
 
 
+def test_hilbert_rejects_malformed_endpoints(capsys, tmp_path):
+    """Endpoints are checked at load time, even by a command that uses the
+    minor instead."""
+    path = write_instance(tmp_path, a=1, b=1, f=[2, 2], u=[1], v=[1],
+                          starts=[[0, 0.5]], ends=[[1, 1]])
+    code, _, err = run(capsys, ["hilbert", "--input", path])
+    assert code == 2
+    assert "validation error" in err
+    assert "Traceback" not in err
+
+
 def test_instance_not_an_object_exits_2(capsys, tmp_path):
     path = tmp_path / "string.json"
     path.write_text('"a b f"')

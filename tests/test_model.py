@@ -14,12 +14,17 @@ from laddergf import (
     NotAnUpperLadder,
     NotWeaklyIncreasing,
     PointOutsideLadder,
+    TASpec,
+    ValidationError,
     ValueOutOfRange,
     endpoints_from_bivector,
+    gf_trivial,
     ladder_from_mask,
+    path_gf,
     validate_general_endpoints,
     validate_ladder,
 )
+from laddergf.model import as_point
 from helpers import (
     flagship_bivector,
     flagship_ladder,
@@ -186,3 +191,32 @@ def test_bivector_endpoints_always_validate():
         assert revalidated.shifted_starts == cfg.shifted_starts
         assert revalidated.shifted_ends == cfg.shifted_ends
         done += 1
+
+
+_LAD = validate_ladder(2, 2, [2, 3, 3])
+
+
+@pytest.mark.parametrize("error, call", [
+    (ValueOutOfRange, lambda: validate_ladder(2, 2, [2.5, 3, 3])),
+    (ValueOutOfRange, lambda: validate_ladder(2, 2, [3, 3, 3.0])),
+    (ValueOutOfRange, lambda: validate_ladder(2, 2, [True, 2, 3])),
+    (ValueOutOfRange, lambda: validate_ladder(1.0, 2, [2, 3])),
+    (ValueOutOfRange, lambda: validate_ladder("x", 2, [2, 3])),
+    (InvalidBivector, lambda: Bivector((1.5,), (1,))),
+    (InvalidBivector, lambda: Bivector(("1",), (1,))),
+    (ValidationError, lambda: TASpec(0, (0, 0), (2.7, 2), 0, _LAD)),
+    (ValidationError, lambda: path_gf(_LAD, [(0.9, 0)], [(1, 1.6)])),
+    (ValidationError, lambda: validate_general_endpoints(
+        _LAD, [LatticePoint(0.9, 0)], [(1, 1)])),
+    (ValidationError, lambda: gf_trivial(0, (0, 0), (1.5, 1))),
+    (ValidationError, lambda: _LAD.contains((0.5, 0))),
+    (ValidationError, lambda: as_point((1, 2, 3))),
+], ids=[
+    "f=2.5", "f=3.0", "f=True", "a=1.0", "a=x", "u=1.5", "u='1'", "TASpec",
+    "path_gf", "general_endpoints", "gf_trivial", "contains", "triple",
+])
+def test_non_integer_input_rejected(error, call):
+    """Every number of the model is an int: nothing is truncated, and a bool,
+    a float or a string raises the model's error instead of an answer."""
+    with pytest.raises(error):
+        call()
