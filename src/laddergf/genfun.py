@@ -42,10 +42,11 @@ Two evaluation strategies are provided:
   sums, products and set differences.
   Each closed form is written once, as a generator of its terms; the
   public function builds a HalfPolynomial from it, and the engine shifts
-  the same terms straight into its packed integer.  The pinned-start
-  forms ``gf_star_trivial`` and ``gf_star_diagonal`` are no further
-  formulas: each is its form at first-row start alpha_1 minus the same
-  form at alpha_1 + 1, the difference the engine's memo takes.
+  the same terms straight into its packed integer.  One helper,
+  ``_pinned``, gives all three pinned-start forms, ``gf_star_trivial``,
+  ``gf_star_diagonal`` and ``gf_star_recursive``: each is its value at
+  first-row start alpha_1 minus the same value at alpha_1 + 1, the
+  difference the engine's memo takes.
 
 Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
 before analysing its shape; values outside that window constrain nothing,
@@ -155,12 +156,24 @@ def partition_border(ladder: LadderFunction) -> list[BorderPiece]:
 # closed forms on shape-free / single-shape boundaries
 # ---------------------------------------------------------------------------
 
-def _require_star(alpha: LatticePoint, eps: LatticePoint) -> None:
-    """A pinned-start set needs a first-row range to pin: alpha_1 <= eps_1."""
+def _require_pairing(l: int, d: int) -> None:
+    """The pairing b_s < f(a_{s+d}) needs d >= 0 and l + d >= 0."""
+    if d < 0:
+        raise PreconditionViolated(f"offset d = {d} must be >= 0")
+    if l + d < 0:
+        raise PreconditionViolated(f"l + d = {l + d} must be >= 0")
+
+
+def _pinned(value, l: int, alpha, eps, *rest) -> HalfPolynomial:
+    """Arrays whose first row starts exactly at alpha_1: value(l, alpha,
+    eps, *rest) minus the same value at first-row start alpha_1 + 1.  A
+    pinned-start set needs a first-row range to pin: alpha_1 <= eps_1."""
+    alpha, eps = as_point(alpha), as_point(eps)
     if alpha.x > eps.x:
         raise StarRequiresNonemptyFirstColumn(
             f"alpha_1 = {alpha.x} > eps_1 = {eps.x}"
         )
+    return value(l, alpha, eps, *rest) - value(l, (alpha.x + 1, alpha.y), eps, *rest)
 
 
 def _trivial_terms(l: int, a1: int, a2: int, e1: int, e2: int) -> Iterator[tuple[int, int]]:
@@ -190,16 +203,11 @@ def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
 def gf_star_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
     """Unrestricted arrays whose first row starts exactly at alpha_1: the
     form at start alpha_1 minus the form at start alpha_1 + 1."""
-    alpha, eps = as_point(alpha), as_point(eps)
-    _require_star(alpha, eps)
-    return gf_trivial(l, alpha, eps) - gf_trivial(l, (alpha.x + 1, alpha.y), eps)
+    return _pinned(gf_trivial, l, alpha, eps)
 
 
 def _check_diagonal_pre(l, alpha, eps, D, d):
-    if d < 0:
-        raise PreconditionViolated(f"offset d = {d} must be >= 0")
-    if l + d < 0:
-        raise PreconditionViolated(f"l + d = {l + d} must be >= 0")
+    _require_pairing(l, d)
     if alpha.x + D + 1 + l + d < alpha.y:
         raise PreconditionViolated(
             f"alpha_1 + D + 1 + l + d = {alpha.x + D + 1 + l + d} < alpha_2 = {alpha.y}"
@@ -237,9 +245,7 @@ def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
     """Diagonal boundary, first row pinned to start at alpha_1: the form at
     start alpha_1 minus the form at start alpha_1 + 1, whose hypotheses
     follow from those at alpha_1."""
-    alpha, eps = as_point(alpha), as_point(eps)
-    _require_star(alpha, eps)
-    return gf_diagonal(l, alpha, eps, D, d) - gf_diagonal(l, (alpha.x + 1, alpha.y), eps, D, d)
+    return _pinned(gf_diagonal, l, alpha, eps, D, d)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +305,9 @@ def _direct_sum(ladder: LadderFunction, l, a1, a2, e1, e2, d) -> HalfPolynomial:
     )
 
 
-def _require_engine_pre(spec: TASpec) -> None:
-    """Both engines need l + d >= 0 (TASpec itself enforces d >= 0)."""
-    if spec.l + spec.d < 0:
-        raise PreconditionViolated(f"l + d = {spec.l + spec.d} must be >= 0")
-
-
 def gf_direct(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by the interval multi-sum."""
-    _require_engine_pre(spec)
+    _require_pairing(spec.l, spec.d)
     return _direct_sum(spec.ladder, spec.l, spec.start.x, spec.start.y,
                        spec.end.x, spec.end.y, spec.d)
 
@@ -524,7 +524,7 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
     cannot bind and ``gf_diagonal`` for one diagonal piece; the direct
     multi-sum is never called.
     """
-    _require_engine_pre(spec)
+    _require_pairing(spec.l, spec.d)
     return _Engine(spec.ladder, [spec]).gf(spec)
 
 
@@ -532,7 +532,7 @@ def gf_star_recursive(spec: TASpec) -> HalfPolynomial:
     """Border peeling for arrays whose first row starts exactly at alpha_1:
     the value at spec minus the value at first-row start alpha_1 + 1, both
     from one engine."""
-    _require_engine_pre(spec)
-    _require_star(spec.start, spec.end)
+    _require_pairing(spec.l, spec.d)
     engine = _Engine(spec.ladder, [spec])
-    return engine.gf(spec) - engine.gf(replace(spec, start=(spec.start.x + 1, spec.start.y)))
+    return _pinned(lambda l, alpha, eps: engine.gf(replace(spec, start=alpha)),
+                   spec.l, spec.start, spec.end)

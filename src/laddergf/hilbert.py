@@ -24,7 +24,7 @@ from .model import (
     endpoints_from_bivector,
     validate_general_endpoints,
 )
-from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _pack, _unpack, to_z_polynomial
+from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _pack, _unpack
 
 METHODS = ("recursive", "direct")  # the default first
 
@@ -138,11 +138,11 @@ def path_gf(
     """Turn generating function for nonintersecting path families.
 
     Validates the endpoint chains and region membership, builds the matrix,
-    and returns its determinant, which is always a polynomial in z = q^2.
+    and returns its determinant, a polynomial in z = q^2 by construction:
+    ``GFMatrix.determinant`` writes its coefficients at even q-exponents only.
     """
     cfg = validate_general_endpoints(ladder, starts, ends)
-    matrix = build_gf_matrix(ladder, cfg, method)
-    return to_z_polynomial(matrix.determinant())
+    return build_gf_matrix(ladder, cfg, method).determinant()
 
 
 def hilbert_series(

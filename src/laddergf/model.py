@@ -40,6 +40,15 @@ def _require_int(value, what: str, error=ValidationError, index: int | None = No
         raise error(f"{what} = {value!r} must be an integer", index=index)
 
 
+def _as_tuple(seq, what: str, error) -> tuple:
+    """Any iterable as a tuple; anything else raises error."""
+    try:
+        items = iter(seq)
+    except TypeError:
+        raise error(f"{what} = {seq!r} is not a sequence") from None
+    return tuple(items)
+
+
 def as_point(p) -> LatticePoint:
     """An (x, y) pair of ``int``s as a LatticePoint.  Anything else, a bool or
     a LatticePoint holding a float included, raises ValidationError."""
@@ -63,7 +72,7 @@ class LadderFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _as_tuple(self.values, "values", ValueOutOfRange))
         _check_ladder(self.a, self.b, self.values)
 
     def value(self, x: int) -> int:
@@ -114,9 +123,9 @@ def _check_ladder(a: int, b: int, values: Sequence[int]) -> None:
 
 def validate_ladder(a: int, b: int, values: Sequence[int]) -> LadderFunction:
     """Build a LadderFunction, rejecting non-monotone or out-of-range input.
-    An a, b or boundary value that is not an ``int``, a bool included,
-    raises ValueOutOfRange."""
-    return LadderFunction(a, b, tuple(values))
+    An a, b or boundary value that is not an ``int``, a bool included, or
+    values that are not iterable, raise ValueOutOfRange."""
+    return LadderFunction(a, b, values)
 
 
 def ladder_from_mask(mask: Sequence[Sequence[bool]]) -> LadderFunction:
@@ -151,7 +160,7 @@ def ladder_from_mask(mask: Sequence[Sequence[bool]]) -> LadderFunction:
             raise NotAnUpperLadder(
                 f"column heights decrease at column {j}", index=j
             )
-    return LadderFunction(a, b, tuple(values))
+    return LadderFunction(a, b, values)
 
 
 @dataclass(frozen=True)
@@ -159,16 +168,16 @@ class Bivector:
     """The cogenerating minor [u_1..u_n | v_1..v_n].
 
     Both index sequences are strictly increasing positive integers of equal
-    length n >= 1.  An index that is not an ``int``, a bool included, raises
-    InvalidBivector.
+    length n >= 1.  An index that is not an ``int``, a bool included, or a
+    row that is not iterable, raises InvalidBivector.
     """
 
     u: tuple[int, ...]
     v: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
+        object.__setattr__(self, "u", _as_tuple(self.u, "u", InvalidBivector))
+        object.__setattr__(self, "v", _as_tuple(self.v, "v", InvalidBivector))
         if len(self.u) != len(self.v) or not self.u:
             raise InvalidBivector(
                 f"need equal nonempty rows, got |u|={len(self.u)}, |v|={len(self.v)}"
@@ -224,11 +233,16 @@ class EndpointConfig:
         return len(self.starts)
 
 
-def _check_chains(starts: tuple[LatticePoint, ...], ends: tuple[LatticePoint, ...]):
+def _check_pair_count(starts: Sequence, ends: Sequence) -> None:
+    """Paths pair starts with ends: at least one of each, equally many."""
     if len(starts) != len(ends) or not starts:
         raise ChainViolation(
             f"need equally many starts and ends, got {len(starts)} and {len(ends)}"
         )
+
+
+def _check_chains(starts: tuple[LatticePoint, ...], ends: tuple[LatticePoint, ...]):
+    _check_pair_count(starts, ends)
     for i in range(len(starts) - 1):
         if starts[i].x > starts[i + 1].x:
             raise ChainViolation(

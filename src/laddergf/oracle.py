@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceeded, InstanceTooLarge, MismatchFound
 from .genfun import TASpec
-from .model import LadderFunction, LatticePoint, as_point
+from .model import LadderFunction, LatticePoint, _check_pair_count, as_point
 from .polyring import HalfPolynomial
 
 
@@ -93,10 +93,8 @@ def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
     if kmax > size_cap:
         raise CapExceeded(f"maximum second-row length {kmax} exceeds cap {size_cap}")
     terms: dict[int, int] = {}
-    for k in range(kmin, max(kmin, kmax) + 1):
+    for k in range(kmin, kmax + 1):
         nfirst = k + l
-        if nfirst < 0 or nfirst > max(0, w1) or k > max(0, w2):
-            continue
         count = 0
         for first in itertools.combinations(range(a1, e1 + 1), nfirst):
             for second in itertools.combinations(range(a2, e2 + 1), k):
@@ -137,12 +135,13 @@ def enumerate_path_families(
     ladder region; families must be pairwise point-disjoint, endpoints
     included.  As a self-check, each candidate path must lie in the region
     exactly when its turns do (true on upper ladders); MismatchFound is
-    raised otherwise.
+    raised otherwise.  Unequally many starts and ends, or none, raise
+    ChainViolation; unordered endpoints, and an end that does not dominate
+    its start (so no path joins them), are accepted.
     """
     pts_s = [as_point(p) for p in starts]
     pts_e = [as_point(p) for p in ends]
-    if len(pts_s) != len(pts_e) or not pts_s:
-        raise ValueError("need equally many, and at least one, start/end pair")
+    _check_pair_count(pts_s, pts_e)
     total = 1
     for A, E in zip(pts_s, pts_e):
         dx, dy = E.x - A.x, E.y - A.y

@@ -142,8 +142,6 @@ class HalfPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfPolynomial(c * other for c in self._coeffs)
         if not isinstance(other, HalfPolynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -156,9 +154,6 @@ class HalfPolynomial:
                     if cb:
                         out[i + j] += ca * cb
         return HalfPolynomial(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __repr__(self) -> str:
         return f"HalfPolynomial({list(self._coeffs)})"

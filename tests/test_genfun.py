@@ -108,6 +108,8 @@ def test_gf_diagonal_preconditions():
         gf_diagonal(0, (0, 0), (3, 9), 0, 0)  # eps side fails
     with pytest.raises(PreconditionViolated):
         gf_diagonal(-2, (0, 0), (3, 3), 0, 1)  # l + d < 0
+    with pytest.raises(PreconditionViolated):
+        gf_diagonal(0, (0, 0), (3, 3), 0, -1)  # d < 0
     with pytest.raises(StarRequiresNonemptyFirstColumn):
         gf_star_diagonal(0, (4, 0), (3, 3), 0, 0)
 

@@ -8,6 +8,7 @@ from laddergf import (
     Bivector,
     BoundaryNotFlatLeftOfFirstStart,
     ChainViolation,
+    EndpointConfig,
     EndpointOutsideLadder,
     InvalidBivector,
     LatticePoint,
@@ -180,6 +181,20 @@ def test_general_endpoints_chains():
         validate_general_endpoints(lad, [(0, 5)], [(1, 5)])
 
 
+@pytest.mark.parametrize("starts, ends, index", [
+    ([(0, 2), (0, 1)], [(3, 3)], None),
+    ([(1, 2), (0, 1)], [(3, 3), (4, 2)], 0),
+    ([(0, 2), (0, 1)], [(3, 3), (3, 2)], 0),
+    ([(0, 2), (0, 1)], [(3, 3), (4, 4)], 0),
+], ids=["count", "starts-left", "end-x-repeats", "end-y-rises"])
+def test_chain_rules(starts, ends, index):
+    """Each ordering rule of the endpoint chains raises ChainViolation,
+    naming the first offending index where there is one."""
+    with pytest.raises(ChainViolation) as err:
+        EndpointConfig(starts, ends)
+    assert err.value.index == index
+
+
 def test_bivector_endpoints_always_validate():
     rng = random.Random(7)
     done = 0
@@ -204,6 +219,8 @@ _LAD = validate_ladder(2, 2, [2, 3, 3])
     (ValueOutOfRange, lambda: validate_ladder("x", 2, [2, 3])),
     (InvalidBivector, lambda: Bivector((1.5,), (1,))),
     (InvalidBivector, lambda: Bivector(("1",), (1,))),
+    (ValueOutOfRange, lambda: validate_ladder(2, 2, 5)),
+    (InvalidBivector, lambda: Bivector(1, 1)),
     (ValidationError, lambda: TASpec(0, (0, 0), (2.7, 2), 0, _LAD)),
     (ValidationError, lambda: path_gf(_LAD, [(0.9, 0)], [(1, 1.6)])),
     (ValidationError, lambda: validate_general_endpoints(
@@ -212,7 +229,8 @@ _LAD = validate_ladder(2, 2, [2, 3, 3])
     (ValidationError, lambda: _LAD.contains((0.5, 0))),
     (ValidationError, lambda: as_point((1, 2, 3))),
 ], ids=[
-    "f=2.5", "f=3.0", "f=True", "a=1.0", "a=x", "u=1.5", "u='1'", "TASpec",
+    "f=2.5", "f=3.0", "f=True", "a=1.0", "a=x", "u=1.5", "u='1'",
+    "values=5", "u=1", "TASpec",
     "path_gf", "general_endpoints", "gf_trivial", "contains", "triple",
 ])
 def test_non_integer_input_rejected(error, call):

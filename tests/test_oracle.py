@@ -6,6 +6,7 @@ import pytest
 
 from laddergf import (
     CapExceeded,
+    ChainViolation,
     HalfPolynomial,
     InstanceTooLarge,
     LatticePath,
@@ -93,6 +94,14 @@ def test_single_path_families():
 def test_family_no_path():
     lad = validate_ladder(2, 2, [3, 3, 3])
     assert enumerate_path_families(lad, [(1, 1)], [(0, 0)]) == P.zero()
+
+
+@pytest.mark.parametrize("starts, ends", [([(0, 0)], []), ([], [])],
+                         ids=["unpaired", "empty"])
+def test_family_needs_paired_endpoints(starts, ends):
+    lad = validate_ladder(2, 2, [3, 3, 3])
+    with pytest.raises(ChainViolation):
+        enumerate_path_families(lad, starts, ends)
 
 
 def test_two_path_family_small():
