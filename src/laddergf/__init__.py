@@ -20,6 +20,7 @@ from .errors import (
     EndpointOutsideLadder,
     InstanceTooLarge,
     InvalidBivector,
+    InvalidLatticePath,
     LadderError,
     MismatchFound,
     NotAnUpperLadder,
@@ -113,6 +114,7 @@ __all__ = [
     "ValueOutOfRange",
     "NotAnUpperLadder",
     "InvalidBivector",
+    "InvalidLatticePath",
     "EndpointOutsideLadder",
     "ChainViolation",
     "PointOutsideLadder",

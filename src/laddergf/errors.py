@@ -33,6 +33,10 @@ class InvalidBivector(ValidationError):
     """Row/column index sequences are not strictly increasing positive ints."""
 
 
+class InvalidLatticePath(ValidationError):
+    """A lattice path's steps are not a sequence of 'E' and 'N'."""
+
+
 class EndpointOutsideLadder(ValidationError):
     """A start or end point violates a region membership condition."""
 

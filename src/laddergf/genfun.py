@@ -25,8 +25,9 @@ Two evaluation strategies are provided:
   closed binomial forms: the unrestricted form, where the coupling cannot
   bind, and the reflection form for one diagonal piece.  A whole diagonal
   piece costs it one closed form instead of one interval per column.  It
-  has one memo: a pinned-start set (first row starting exactly at
-  alpha_1) is the memoized difference of the sets starting at alpha_1 and
+  keeps one memo per ladder, shared by every query on that ladder and freed
+  with it: a pinned-start set (first row starting exactly at alpha_1) is
+  the memoized difference of the sets starting at alpha_1 and
   alpha_1 + 1.  A single flat piece, and a diagonal piece that fails the
   reflection hypothesis, are peeled at x = eps_1, because second-row
   entries at or above f(eps_1) can only be the at most d unpaired top
@@ -58,6 +59,7 @@ bisection.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import comb
@@ -408,7 +410,11 @@ class _Engine:
     """
 
     def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
-        self.ladder = ladder
+        # an equal copy: an engine kept in ``_ENGINES`` must not hold its own
+        # key, or the weakly keyed entry would never die.  ``copy.copy``
+        # would read the ladder's ``__dict__``, which makes every later
+        # attribute read on it 2-3x slower in CPython 3.11.
+        self.ladder = replace(ladder)
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
 
@@ -505,6 +511,26 @@ class _Engine:
         return acc
 
 
+# The recursive engine of each live ladder, freed with it.  Equal ladders
+# share one engine: its memo depends only on the boundary.
+_ENGINES: weakref.WeakKeyDictionary[LadderFunction, _Engine] = weakref.WeakKeyDictionary()
+
+
+def _engine_for(ladder: LadderFunction, specs: list[TASpec]) -> _Engine:
+    """The ladder's engine, so that every query on one ladder shares its memo.
+
+    An engine packs at a fixed width k, so when a spec needs a wider one,
+    a new engine made for these specs replaces the stored one and its memo;
+    a pass over the minors of one ladder grows k a few times.  Only one
+    engine per ladder is ever kept.  Two threads may race to replace it;
+    every engine's values are exact, so either engine gives the same answer.
+    """
+    engine = _ENGINES.get(ladder)
+    if engine is None or any(_row_slots(spec) >= engine.k for spec in specs):
+        engine = _ENGINES[ladder] = _Engine(ladder, specs)
+    return engine
+
+
 def gf_recursive(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by border peeling.
 
@@ -525,14 +551,14 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
     multi-sum is never called.
     """
     _require_pairing(spec.l, spec.d)
-    return _Engine(spec.ladder, [spec]).gf(spec)
+    return _engine_for(spec.ladder, [spec]).gf(spec)
 
 
 def gf_star_recursive(spec: TASpec) -> HalfPolynomial:
     """Border peeling for arrays whose first row starts exactly at alpha_1:
     the value at spec minus the value at first-row start alpha_1 + 1, both
-    from one engine."""
+    from the ladder's engine."""
     _require_pairing(spec.l, spec.d)
-    engine = _Engine(spec.ladder, [spec])
+    engine = _engine_for(spec.ladder, [spec])
     return _pinned(lambda l, alpha, eps: engine.gf(replace(spec, start=alpha)),
                    spec.l, spec.start, spec.end)

@@ -7,8 +7,10 @@ t-th shifted start and end equal to the s-th shifted end.  Dividing by
 (1 - z)^((a+b+3) n - sum(u_i + v_i)) yields the Hilbert series of the ladder
 determinantal ring cogenerated by the bivector.
 
-Matrix entries are independent computations; evaluation order never affects
-the result.
+The recursive method answers every query on a ladder from one engine kept
+for that ladder, so the entries of one matrix, and the minors of one ladder,
+share sub-results; the engine lives as long as the ladder object.  Values
+are exact counts, so evaluation order never affects the result.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchFound, OddExponentPresent
-from .genfun import TASpec, _Engine, gf_direct
+from .genfun import TASpec, _engine_for, gf_direct
 from .model import (
     Bivector,
     EndpointConfig,
@@ -119,14 +121,17 @@ def build_gf_matrix(
     """Fill the determinant entries of ``matrix_specs`` with the chosen
     evaluation method.
 
-    The recursive method runs one engine over all n^2 entries, so that
-    entries share sub-results; its packing width comes from the widest.
+    The recursive method fills all n^2 entries from the ladder's engine,
+    which every earlier query on the ladder (or on an equal one) filled too,
+    so that entries and queries share sub-results.  It is replaced by a new
+    engine when an entry needs a wider packing than it has.  The engine is
+    freed with the ladder.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     specs = matrix_specs(ladder, cfg)
     if method == "recursive":
-        evaluate = _Engine(ladder, (spec for row in specs for spec in row)).gf
+        evaluate = _engine_for(ladder, [spec for row in specs for spec in row]).gf
     else:
         evaluate = gf_direct
     return GFMatrix(cfg.n, tuple(tuple(evaluate(spec) for spec in row) for row in specs))

@@ -12,24 +12,28 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, InstanceTooLarge, MismatchFound
+from .errors import CapExceeded, InstanceTooLarge, InvalidLatticePath, MismatchFound
 from .genfun import TASpec
-from .model import LadderFunction, LatticePoint, _check_pair_count, as_point
+from .model import LadderFunction, LatticePoint, _as_tuple, _check_pair_count, as_point
 from .polyring import HalfPolynomial
 
 
 @dataclass(frozen=True)
 class LatticePath:
-    """A monotone lattice path: a start point plus unit E/N steps."""
+    """A monotone lattice path: a start point plus unit E/N steps.
+
+    Steps that are not an iterable of 'E' and 'N' raise InvalidLatticePath,
+    naming the index of the first bad step."""
 
     start: LatticePoint
     steps: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_point(self.start))
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if any(s not in ("E", "N") for s in self.steps):
-            raise ValueError("steps must be 'E' or 'N'")
+        object.__setattr__(self, "steps", _as_tuple(self.steps, "steps", InvalidLatticePath))
+        for i, s in enumerate(self.steps):
+            if s not in ("E", "N"):
+                raise InvalidLatticePath(f"steps[{i}] = {s!r} is not 'E' or 'N'", index=i)
 
     def points(self) -> list[LatticePoint]:
         pts = [self.start]

@@ -1,9 +1,11 @@
 """The determinant pipeline and the Hilbert series assembly."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,8 @@ from laddergf import (
     validate_general_endpoints,
     validate_ladder,
 )
+from laddergf.genfun import _ENGINES, _Engine
+from laddergf.hilbert import matrix_specs
 from laddergf.polyring import _bareiss
 from helpers import (
     FLAGSHIP_NUMERATOR,
@@ -281,3 +285,58 @@ def test_theorem_level_oracle_equivalence_sample():
         assert path_gf(lad, starts, ends, "recursive") == truth
         assert path_gf(lad, starts, ends, "direct") == truth
         done += 1
+
+
+# The 26 x 26 ladder of the benchmark's minor_sweep workload: f(0) = 11 and a
+# flat top block 11 columns wide, so every minor with n <= 9 fits.
+SWEEP_VALUES = (11, 12, 13, 14, 14, 15, 16, 18, 19, 20, 21, 22, 22, 22, 23, 25) + (27,) * 11
+
+
+def test_ladder_engine_shared_across_minors():
+    """All queries on one ladder share its engine, which a wider query
+    replaces; every entry equals that of a fresh engine per query.  A 1 x 1
+    minor goes first, then 99 of random sizes 1..9 in random order, so the
+    packing width grows during the sweep."""
+    lad = validate_ladder(26, 26, SWEEP_VALUES)
+    rng = random.Random(53)
+    minors = [Bivector(tuple(sorted(rng.sample(range(1, 12), n))),
+                       tuple(sorted(rng.sample(range(1, 12), n))))
+              for n in (rng.randint(1, 9) for _ in range(99))]
+    widths = []
+    for m in [Bivector((11,), (11,))] + minors:
+        cfg = endpoints_from_bivector(lad, m)
+        shared = build_gf_matrix(lad, cfg).entries
+        widths.append(_ENGINES[lad].k)
+        specs = matrix_specs(lad, cfg)
+        fresh = _Engine(lad, [spec for row in specs for spec in row])
+        assert shared == tuple(tuple(map(fresh.gf, row)) for row in specs), m
+    assert widths == sorted(widths) and widths[0] < widths[-1]
+
+
+def test_ladder_engine_dies_with_ladder():
+    """The engine holds no reference to its ladder: once the ladder is
+    gone, its registry entry and the engine itself are freed."""
+    gc.collect()
+    before = len(_ENGINES)
+    lad = validate_ladder(26, 27, SWEEP_VALUES[:-2] + (28, 28))  # equal to no other ladder
+    hilbert_series(lad, Bivector((1, 2), (1, 2)))
+    assert len(_ENGINES) == before + 1
+    ladder_ref, engine_ref = weakref.ref(lad), weakref.ref(_ENGINES[lad])
+    del lad
+    gc.collect()
+    assert ladder_ref() is None and engine_ref() is None
+    assert len(_ENGINES) == before
+
+
+def test_equal_ladders_share_one_engine():
+    """A query on a ladder equal to, but distinct from, one queried before
+    reuses that ladder's engine and gives the same series as the direct
+    method."""
+    first, second = (validate_ladder(12, 12, (5, 6, 7, 7, 8, 9, 11) + (13,) * 6)
+                     for _ in range(2))
+    assert first is not second
+    m = Bivector((1, 3, 4), (2, 3, 5))
+    series = hilbert_series(first, m)
+    engine = _ENGINES[first]
+    assert hilbert_series(second, m) == series == hilbert_series(second, m, "direct")
+    assert _ENGINES[second] is engine

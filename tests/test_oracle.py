@@ -9,6 +9,7 @@ from laddergf import (
     ChainViolation,
     HalfPolynomial,
     InstanceTooLarge,
+    InvalidLatticePath,
     LatticePath,
     LatticePoint,
     MismatchFound,
@@ -35,6 +36,14 @@ def test_ne_turns_degenerate():
     assert ne_turns(LatticePath((0, 0), ("E", "E", "E"))) == []
     assert ne_turns(LatticePath((0, 0), ("N", "E"))) == [(0, 1)]
     assert ne_turns(LatticePath((2, 5), ())) == []
+
+
+@pytest.mark.parametrize("steps, index", [(5, None), (("E", "X"), 1)],
+                         ids=["not-iterable", "bad-step"])
+def test_lattice_path_rejects_bad_steps(steps, index):
+    with pytest.raises(InvalidLatticePath) as raised:
+        LatticePath((0, 0), steps)
+    assert raised.value.index == index
 
 
 def test_enumerate_arrays_type_zero():
