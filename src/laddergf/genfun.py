@@ -25,10 +25,11 @@ Two evaluation strategies are provided:
   closed binomial forms: the unrestricted form, where the coupling cannot
   bind, and the reflection form for one diagonal piece.  A whole diagonal
   piece costs it one closed form instead of one interval per column.  It
-  keeps one memo per ladder, shared by every query on that ladder and freed
-  with it: a pinned-start set (first row starting exactly at alpha_1) is
-  the memoized difference of the sets starting at alpha_1 and
-  alpha_1 + 1.  A single flat piece, and a diagonal piece that fails the
+  keeps one memo per ladder, shared by every query on that ladder or an
+  equal one and freed with the last of those: a pinned-start set (first
+  row starting exactly at alpha_1) is the memoized difference of the sets
+  starting at alpha_1 and alpha_1 + 1.  A single flat piece, and a
+  diagonal piece that fails the
   reflection hypothesis, are peeled at x = eps_1, because second-row
   entries at or above f(eps_1) can only be the at most d unpaired top
   ones.  First-row entries in the columns where the boundary clears
@@ -62,6 +63,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from math import comb
 from typing import Iterable, Iterator, Literal
 
@@ -410,10 +412,10 @@ class _Engine:
     """
 
     def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
-        # an equal copy: an engine kept in ``_ENGINES`` must not hold its own
-        # key, or the weakly keyed entry would never die.  ``copy.copy``
-        # would read the ladder's ``__dict__``, which makes every later
-        # attribute read on it 2-3x slower in CPython 3.11.
+        # an equal copy: the ladders that use an engine must be able to die
+        # while it is kept in ``_ENGINES``.  ``copy.copy`` would read the
+        # ladder's ``__dict__``, which makes every later attribute read on
+        # it 2-3x slower in CPython 3.11.
         self.ladder = replace(ladder)
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
@@ -511,23 +513,48 @@ class _Engine:
         return acc
 
 
-# The recursive engine of each live ladder, freed with it.  Equal ladders
-# share one engine: its memo depends only on the boundary.
-_ENGINES: weakref.WeakKeyDictionary[LadderFunction, _Engine] = weakref.WeakKeyDictionary()
+# The recursive engine of each ladder, shared by equal ladders (its memo
+# depends only on the boundary) and kept while any of them lives.  No key is
+# a ladder in use: each is the copy held by the first engine made for it.
+# ``_USERS`` holds, under the same key, a weak reference to each live ladder
+# object that asked for the engine, by id; the entry goes with the last.
+_ENGINES: dict[LadderFunction, _Engine] = {}
+_USERS: dict[LadderFunction, dict[int, weakref.ref]] = {}
+
+
+def _release(key: LadderFunction, ident: int, _ref: weakref.ref) -> None:
+    """Weak-reference callback: the ladder with id ident, equal to key, died.
+
+    The collector may run it, in any thread, while ``_engine_for`` is
+    between two steps, so nothing here may be assumed present.  The worst
+    such a race does is drop an engine that a later query then rebuilds.
+    """
+    users = _USERS.get(key, {})
+    users.pop(ident, None)
+    if not users:
+        _USERS.pop(key, None)
+        _ENGINES.pop(key, None)
 
 
 def _engine_for(ladder: LadderFunction, specs: list[TASpec]) -> _Engine:
-    """The ladder's engine, so that every query on one ladder shares its memo.
+    """The ladder's engine, so that every query on one ladder, or on an
+    equal one, shares its memo.
 
     An engine packs at a fixed width k, so when a spec needs a wider one,
     a new engine made for these specs replaces the stored one and its memo;
     a pass over the minors of one ladder grows k a few times.  Only one
-    engine per ladder is ever kept.  Two threads may race to replace it;
-    every engine's values are exact, so either engine gives the same answer.
+    engine per ladder value is ever kept.  Two threads may race to replace
+    it; every engine's values are exact, so either engine gives the same
+    answer.
     """
     engine = _ENGINES.get(ladder)
     if engine is None or any(_row_slots(spec) >= engine.k for spec in specs):
-        engine = _ENGINES[ladder] = _Engine(ladder, specs)
+        engine = _Engine(ladder, specs)
+        # a key already present stays; a new one is the engine's copy
+        _ENGINES[engine.ladder] = engine
+    users = _USERS.setdefault(engine.ladder, {})
+    if id(ladder) not in users:
+        users[id(ladder)] = weakref.ref(ladder, partial(_release, engine.ladder, id(ladder)))
     return engine
 
 

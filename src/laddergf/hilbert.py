@@ -9,8 +9,9 @@ determinantal ring cogenerated by the bivector.
 
 The recursive method answers every query on a ladder from one engine kept
 for that ladder, so the entries of one matrix, and the minors of one ladder,
-share sub-results; the engine lives as long as the ladder object.  Values
-are exact counts, so evaluation order never affects the result.
+share sub-results; the engine lives as long as any of the equal ladders that
+used it.  Values are exact counts, so evaluation order never affects the
+result.
 """
 
 from __future__ import annotations
@@ -61,45 +62,63 @@ class GFMatrix:
         Multiplying row s and column t (0-based) by q^(s mod 2) and
         q^(t mod 2) makes every exponent even, by the parity invariant, so
         the matrix becomes one over Z[z] of half the degree.  Its
-        determinant is z^(n // 2) times the wanted one.
+        determinant P is z^(n // 2) times the wanted one.
 
-        By the path-family theorem (as by Lindstrom-Gessel-Viennot) that
-        determinant counts families of nonintersecting paths by turns, so its
-        coefficients are nonnegative and sum to D, the integer determinant of
-        the entries at z = 1: the number of families.  Each coefficient is
-        then at most D and fits in K = max(1, D.bit_length()) bits.  The
-        entries are packed at z = 2^K, one fraction-free elimination gives
-        the determinant at 2^K, and its unsigned base-2^K digits are the
-        coefficients.  ``det_poly_matrix``, which sizes K by Hadamard's
-        bound for any signed matrix, packs wider: on the minors
-        u = v = (1..n) of the 26 x 26 benchmark ladder, 145 against 124 bits
-        at n = 3, 402 against 188 at n = 9 and 475 against 154 at n = 11.
+        By the path-family theorem (as by Lindstrom-Gessel-Viennot) P counts
+        families of nonintersecting paths by turns, so its coefficients are
+        nonnegative and sum to D, the integer determinant of the entries at
+        z = 1: the number of families.  Each coefficient is then at most D
+        and fits in K = max(1, D.bit_length()) bits.  Write
+        P(z) = E(z^2) + z O(z^2) and take b = ceil(K / 2).  Two fraction-free
+        eliminations, on the entries packed at z = 2^b and at z = -2^b, give
+        E(4^b) = (P(2^b) + P(-2^b)) / 2 and
+        O(4^b) = (P(2^b) - P(-2^b)) / 2^(b+1), both exact divisions for any
+        integer matrix; since 2b >= K, the unsigned base-2^(2b) digits of
+        E and O are the even and odd coefficients of P (multipoint
+        Kronecker substitution, Harvey 2009).  The two eliminations work on
+        integers half as long as one at z = 2^K would, and CPython's
+        Karatsuba products and quadratic divisions make that more than
+        halve their cost.  ``det_poly_matrix`` sizes its single width by
+        Hadamard's bound, which holds for any signed matrix, and that is
+        wider than K: on the minors u = v = (1..n) of the 26 x 26 benchmark
+        ladder, 145 against 124 bits at n = 3, 402 against 188 at n = 9 and
+        475 against 154 at n = 11.
 
         The bound holds only by the theorem.  A matrix that breaks it, such
-        as a hand-built one, raises MismatchFound when the packed
-        determinant is negative or its digits do not sum to D.
+        as a hand-built one, raises MismatchFound when E or O is negative
+        or the digits of both do not sum to D.
         """
-        n = self.n
-        in_z = [
-            [((0,) * (s % 2 + t % 2) + entry.coeffs)[::2] for t, entry in enumerate(row)]
+        # entry (s, t) times q^(s mod 2 + t mod 2): its q^(4j) and q^(4j + 2)
+        # coefficients are those of z^(2j) and z^(2j + 1), and the others are 0
+        shifted = [
+            [(0,) * (s % 2 + t % 2) + entry.coeffs for t, entry in enumerate(row)]
             for s, row in enumerate(self.entries)
         ]
-        families = _bareiss([[sum(c) for c in row] for row in in_z])
-        k = max(1, families.bit_length())
-        v = _bareiss([[_pack(c, k) for c in row] for row in in_z])
-        if v < 0:
+        families = _bareiss([[sum(c) for c in row] for row in shifted])
+        b = (max(1, families.bit_length()) + 1) // 2
+        # each entry's even and odd parts in z at 4^b, the odd one times 2^b
+        halves = [[(_pack(c[::4], 2 * b), _pack(c[2::4], 2 * b) << b) for c in row]
+                  for row in shifted]
+        at_plus = _bareiss([[even + odd for even, odd in row] for row in halves])
+        at_minus = _bareiss([[even - odd for even, odd in row] for row in halves])
+        even, odd = (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (b + 1)
+        if even < 0 or odd < 0:
+            part = "even" if even < 0 else "odd"
             raise MismatchFound(
-                f"determinant is negative at z = 2^{k}, so it does not count "
-                "path families")
-        z_coeffs = _unpack(v, k).coeffs
-        if sum(z_coeffs) != families:
+                f"the {part} part of the determinant is negative at z^2 = 4^{b}, "
+                "so it does not count path families")
+        even_coeffs, odd_coeffs = _unpack(even, 2 * b).coeffs, _unpack(odd, 2 * b).coeffs
+        total = sum(even_coeffs) + sum(odd_coeffs)
+        if total != families:
             raise MismatchFound(
-                f"determinant coefficients sum to {sum(z_coeffs)}, not to the "
+                f"determinant coefficients sum to {total}, not to the "
                 f"{families} path families of the entries at z = 1")
-        z_coeffs = z_coeffs[n // 2:]
-        q_coeffs = [0] * (2 * len(z_coeffs))
-        q_coeffs[::2] = z_coeffs
-        return HalfPolynomial(q_coeffs)
+        # E's digits are the coefficients of q^(4j), O's those of q^(4j + 2);
+        # dropping the first 2 (n // 2) divides by z^(n // 2)
+        q_coeffs = [0] * (4 * max(len(even_coeffs), len(odd_coeffs)))
+        q_coeffs[:4 * len(even_coeffs):4] = even_coeffs
+        q_coeffs[2:4 * len(odd_coeffs):4] = odd_coeffs
+        return HalfPolynomial(q_coeffs[2 * (self.n // 2):])
 
 
 def matrix_specs(ladder: LadderFunction, cfg: EndpointConfig) -> list[list[TASpec]]:
@@ -125,7 +144,7 @@ def build_gf_matrix(
     which every earlier query on the ladder (or on an equal one) filled too,
     so that entries and queries share sub-results.  It is replaced by a new
     engine when an entry needs a wider packing than it has.  The engine is
-    freed with the ladder.
+    freed with the last of the equal ladders that used it.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

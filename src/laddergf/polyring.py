@@ -9,7 +9,11 @@ integer products.  The packing width must exceed every coefficient of the
 result.  ``det_poly_matrix`` takes it from Hadamard's bound, which holds for
 any signed matrix; the pipeline determinant (``GFMatrix.determinant``) takes
 it from the number D of path families, since by the path-family theorem its
-coefficients are nonnegative and sum to D.
+coefficients are nonnegative and sum to D.  The pipeline packs at both
+z = 2^b and z = -2^b with b = ceil(K / 2), K the bit length of D: the sum
+and the difference of the two determinants give its even and odd parts
+at z^2 = 4^b, whose base-4^b digits are its coefficients, from two
+eliminations on integers half as long as one packing at 2^K needs.
 
 This module owns that base-2^k digit format: ``_pack`` evaluates a
 polynomial at 2^k, ``_unpack`` reads unsigned digits back (the pipeline

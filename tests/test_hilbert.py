@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -161,10 +162,13 @@ def test_determinant_counts_families():
 # Matrices that pass the shape and parity checks but count no path
 # families: (1, q; q, 1) has determinant 1 - q^2, D = 0 and a negative
 # value at z = 2; the 1 x 1 matrix -1 + 3 q^2 has D = 2 and a positive
-# value at z = 4 whose base-4 digits sum to 8.
+# value at z = 4 whose base-4 digits sum to 8; the 1 x 1 matrix
+# 2 - q^2 + q^4 has D = 2, its only negative coefficient at an odd power
+# of z, and a positive value at z = 4 whose base-4 digits sum to 5.
 NOT_FAMILY_COUNTS = {
     "negative": GFMatrix(2, ((P.one(), P([0, 1])), (P([0, 1]), P.one()))),
     "digit_sum": GFMatrix(1, ((P([-1, 0, 3]),),)),
+    "odd_negative": GFMatrix(1, ((P([2, 0, -1, 0, 1]),),)),
 }
 
 
@@ -192,6 +196,42 @@ def test_determinant_guard_survives_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+def test_one_by_one_determinant_even_odd_split():
+    """An n = 1 determinant is its entry.  Entries with only even powers of
+    z (so O = 0), only odd powers (E = 0), and the zero entry (D = 0, K = 1)
+    come back unchanged from the split at z = 2^b and z = -2^b, and equal
+    the Hadamard-sized determinant."""
+    rng = random.Random(41)
+    zero = GFMatrix(1, ((P(),),))
+    assert zero.determinant() == P() == hadamard_determinant(zero.entries)
+    for odd in (0, 1):
+        for _ in range(20):
+            # z^(2j + odd) is q^(4j + 2 odd)
+            entry = P.from_dict({4 * j + 2 * odd: rng.randint(0, 1 << rng.randint(0, 40))
+                                 for j in range(rng.randint(1, 8))})
+            matrix = GFMatrix(1, ((entry,),))
+            assert matrix.determinant() == entry == hadamard_determinant(matrix.entries)
+
+
+def test_determinant_split_for_both_width_parities():
+    """The split at z = +-2^b, b = ceil(K / 2), agrees with the
+    Hadamard-sized determinant on pipeline matrices whose family-count
+    width K = D.bit_length() is odd and on ones where it is even: seeded
+    minors n = 1..8 of the 26 x 26 benchmark ladder."""
+    lad = validate_ladder(26, 26, SWEEP_VALUES)
+    rng = random.Random(43)
+    parities = set()
+    for n in range(1, 9):
+        for _ in range(2):
+            m = Bivector(tuple(sorted(rng.sample(range(1, 12), n))),
+                         tuple(sorted(rng.sample(range(1, 12), n))))
+            matrix = build_gf_matrix(lad, endpoints_from_bivector(lad, m))
+            at_one = [[sum(e.coeffs) for e in row] for row in matrix.entries]
+            parities.add(_bareiss(at_one).bit_length() % 2)
+            assert matrix.determinant() == hadamard_determinant(matrix.entries), m
+    assert parities == {0, 1}
 
 
 def test_path_gf_single_trivial():
@@ -325,6 +365,70 @@ def test_ladder_engine_dies_with_ladder():
     del lad
     gc.collect()
     assert ladder_ref() is None and engine_ref() is None
+    assert len(_ENGINES) == before
+
+
+def test_engine_lives_while_an_equal_ladder_does():
+    """When the ladder whose query made the engine dies, an equal ladder
+    that also used it keeps it, memo and all; the engine dies with the
+    last of them."""
+    gc.collect()
+    before = len(_ENGINES)
+    # equal to each other and to no other ladder
+    first, second = (validate_ladder(12, 12, (4, 6, 7, 7, 8, 9, 11) + (13,) * 6)
+                     for _ in range(2))
+    m = Bivector((1, 3), (2, 5))
+    series = hilbert_series(first, m)
+    assert hilbert_series(second, m) == series
+    engine = _ENGINES[second]
+    memo = dict(engine.memo)
+    del first
+    gc.collect()
+    assert _ENGINES[second] is engine and engine.memo == memo
+    assert hilbert_series(second, m) == series and engine.memo == memo
+    engine_ref = weakref.ref(engine)
+    del second, engine
+    gc.collect()
+    assert engine_ref() is None
+    assert len(_ENGINES) == before
+
+
+def test_engine_registry_under_threads(monkeypatch):
+    """Threads that make, query and drop equal ladders at once, with a
+    short switch interval, get the right series; no weak-reference callback
+    fails; and once every ladder is gone no entry is left."""
+    gc.collect()
+    before = len(_ENGINES)
+    values = (3, 4, 4, 5, 7) + (8,) * 4  # equal to no other ladder
+    m = Bivector((1, 2), (1, 3))
+    want = hilbert_series(validate_ladder(8, 7, values), m, "direct")
+    failures = []
+    monkeypatch.setattr(sys, "unraisablehook", failures.append)
+
+    def work():
+        try:
+            for i in range(40):
+                kept = validate_ladder(8, 7, values)
+                if hilbert_series(kept, m) != want:
+                    failures.append(i)
+                if i % 8 == 0:
+                    gc.collect()
+        except Exception as exc:  # reported through the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    gc.collect()
+    assert not failures, failures
     assert len(_ENGINES) == before
 
 

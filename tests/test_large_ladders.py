@@ -92,7 +92,9 @@ def test_large_determinants():
     """On a 2-vCPU Xeon VM, n = 10 and 11 took 1.9 s and 3.9 s with the
     Laplace expansion (n * 2^(n-1) products), 0.32 s and 0.46 s with the
     O(n^3) elimination packed by Hadamard's bound, and 0.07 s each packed
-    by the family count D."""
+    by the family count D.  Timed again on that VM when the host ran
+    slower: 0.10 s each with one elimination at z = 2^K, and 0.055 s each
+    with two at z = 2^b and z = -2^b, b = ceil(K / 2)."""
     lad = validate_ladder(26, 26, SWEEP_LADDER)
     t0 = time.perf_counter()
     for n, (pin, exponent, length) in SWEEP_PINS.items():
@@ -110,7 +112,10 @@ def test_family_count_packing_at_large_n():
     """GFMatrix.determinant, packed by the family count D, against the
     generic determinant packed by Hadamard's bound, at n = 12 and 14.  On a
     2-vCPU Xeon VM the two took 0.5 s and 2.6 s at n = 12, and 0.5 s and
-    4.3 s at n = 14."""
+    4.3 s at n = 14.  Timed again on that VM when the host ran slower, the
+    pipeline determinant took 0.37 s at n = 12 and 0.38 s at n = 14 with two
+    eliminations at z = 2^b and z = -2^b, against 0.65 s and 0.70 s with
+    one at z = 2^K, and the generic one 3.3 s and 5.8 s."""
     lad = validate_ladder(30, 30, WIDE_SWEEP_LADDER)
     t0 = time.perf_counter()
     for n in (12, 14):
