@@ -57,7 +57,6 @@ from .model import (
 )
 from .oracle import (
     LatticePath,
-    PathFamily,
     enumerate_arrays,
     enumerate_path_families,
     ne_turns,
@@ -83,7 +82,6 @@ __all__ = [
     "LadderFunction",
     "LatticePath",
     "LatticePoint",
-    "PathFamily",
     "TASpec",
     "binomial",
     "build_gf_matrix",

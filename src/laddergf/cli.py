@@ -66,8 +66,8 @@ def load_instance(path: str) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: not a JSON object")
     for key in ("a", "b", "f"):

@@ -63,7 +63,6 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import partial
 from math import comb
 from typing import Iterable, Iterator, Literal
 
@@ -73,7 +72,7 @@ from .errors import (
     StarRequiresNonemptyFirstColumn,
 )
 from .model import LadderFunction, LatticePoint, as_point
-from .polyring import HalfPolynomial, _unpack, binomial
+from .polyring import HalfPolynomial, _pack_terms, _unpack, binomial
 
 
 @dataclass(frozen=True)
@@ -329,25 +328,6 @@ def _row_slots(spec: TASpec) -> int:
     return max(0, spec.end.x - spec.start.x + 1) + max(0, spec.end.y - spec.start.y + 1)
 
 
-def _pack_terms(terms: Iterable[tuple[int, int]], k: int) -> int:
-    """The sum of c * 2^(k*e) over the terms (e, c), exponents distinct.
-
-    Raises ValueError unless every coefficient is a base-2^k digit
-    (0 <= c < 2^k): anything else would spill into its neighbours.
-    """
-    v = 0
-    for e, c in terms:
-        if c < 0 or c >> k:
-            raise ValueError(f"coefficient {c} is not a base-2^{k} digit")
-        v |= c << (k * e)
-    return v
-
-
-def _pack(p: HalfPolynomial, k: int) -> int:
-    """p evaluated at q = 2^k; raises ValueError as ``_pack_terms`` does."""
-    return _pack_terms(enumerate(p.coeffs), k)
-
-
 class _Engine:
     """Memoized recursion over one fixed ladder, on packed integers.
 
@@ -359,7 +339,7 @@ class _Engine:
     packed digits, as long as every coefficient of every value stays in
     [0, 2^k).  Each value counts arrays whose rows are subsets of its two
     ranges, and every sub-problem's ranges lie inside its caller's, so
-    every coefficient of every value, partial sum and product is a count
+    every coefficient of every value, running sum and product is a count
     of a subset of the top-level set: nonnegative and at most 2^W
     (``_row_slots``), W the largest over the specs the engine serves.  So
     k = W + 1.  Base cases are two closed forms, packed by ``_pack_terms``
@@ -412,10 +392,10 @@ class _Engine:
     """
 
     def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
-        # an equal copy: the ladders that use an engine must be able to die
-        # while it is kept in ``_ENGINES``.  ``copy.copy`` would read the
-        # ladder's ``__dict__``, which makes every later attribute read on
-        # it 2-3x slower in CPython 3.11.
+        # an equal copy, the engine's registry key: it holds no engine, so
+        # the ladders that hold this one can die.  ``copy.copy`` would read
+        # the ladder's ``__dict__``, which makes every later attribute read
+        # on it 2-3x slower in CPython 3.11.
         self.ladder = replace(ladder)
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
@@ -513,48 +493,34 @@ class _Engine:
         return acc
 
 
-# The recursive engine of each ladder, shared by equal ladders (its memo
-# depends only on the boundary) and kept while any of them lives.  No key is
-# a ladder in use: each is the copy held by the first engine made for it.
-# ``_USERS`` holds, under the same key, a weak reference to each live ladder
-# object that asked for the engine, by id; the entry goes with the last.
-_ENGINES: dict[LadderFunction, _Engine] = {}
-_USERS: dict[LadderFunction, dict[int, weakref.ref]] = {}
-
-
-def _release(key: LadderFunction, ident: int, _ref: weakref.ref) -> None:
-    """Weak-reference callback: the ladder with id ident, equal to key, died.
-
-    The collector may run it, in any thread, while ``_engine_for`` is
-    between two steps, so nothing here may be assumed present.  The worst
-    such a race does is drop an engine that a later query then rebuilds.
-    """
-    users = _USERS.get(key, {})
-    users.pop(ident, None)
-    if not users:
-        _USERS.pop(key, None)
-        _ENGINES.pop(key, None)
+# The recursive engine of each ladder value, keyed by the engine's own copy
+# of the ladder, so that equal ladders find one engine (its memo depends only
+# on the boundary).  Each ladder that asked for it holds it, so it lives
+# while any of them does and leaves the registry with the last.
+_ENGINES: weakref.WeakValueDictionary[LadderFunction, _Engine] = weakref.WeakValueDictionary()
 
 
 def _engine_for(ladder: LadderFunction, specs: list[TASpec]) -> _Engine:
     """The ladder's engine, so that every query on one ladder, or on an
     equal one, shares its memo.
 
-    An engine packs at a fixed width k, so when a spec needs a wider one,
-    a new engine made for these specs replaces the stored one and its memo;
-    a pass over the minors of one ladder grows k a few times.  Only one
-    engine per ladder value is ever kept.  Two threads may race to replace
-    it; every engine's values are exact, so either engine gives the same
-    answer.
+    The ladder keeps the engine in its ``_engine`` attribute, the instance
+    cache idiom of ``functools.cached_property``; the attribute takes no
+    part in equality, hashing or repr.  An engine packs at a fixed width k,
+    so when a spec needs a wider one, a new engine made for these specs
+    replaces the registered one, whose memo is cleared: an equal ladder
+    still holding it keeps no second memo.  A pass over the minors of one
+    ladder grows k a few times.  Two threads may race to replace it, or
+    clear a memo that another query is filling; every engine's values are
+    exact, so the worst a race does is recompute some of them.
     """
     engine = _ENGINES.get(ladder)
     if engine is None or any(_row_slots(spec) >= engine.k for spec in specs):
+        if engine is not None:
+            engine.memo.clear()
         engine = _Engine(ladder, specs)
-        # a key already present stays; a new one is the engine's copy
-        _ENGINES[engine.ladder] = engine
-    users = _USERS.setdefault(engine.ladder, {})
-    if id(ladder) not in users:
-        users[id(ladder)] = weakref.ref(ladder, partial(_release, engine.ladder, id(ladder)))
+        _ENGINES[engine.ladder] = engine  # a key already present stays
+    object.__setattr__(ladder, "_engine", engine)
     return engine
 
 

@@ -9,9 +9,9 @@ determinantal ring cogenerated by the bivector.
 
 The recursive method answers every query on a ladder from one engine kept
 for that ladder, so the entries of one matrix, and the minors of one ladder,
-share sub-results; the engine lives as long as any of the equal ladders that
-used it.  Values are exact counts, so evaluation order never affects the
-result.
+share sub-results; each ladder that used the engine holds it, so it lives as
+long as any of those equal ladders.  Values are exact counts, so evaluation
+order never affects the result.
 """
 
 from __future__ import annotations

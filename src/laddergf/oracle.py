@@ -52,18 +52,6 @@ class LatticePath:
         return LatticePoint(x + self.steps.count("E"), y + self.steps.count("N"))
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    """A tuple of lattice paths.  Nothing checks that they are pairwise
-    point-disjoint; ``enumerate_path_families`` counts such families
-    without building this type."""
-
-    paths: tuple[LatticePath, ...]
-
-    def turn_count(self) -> int:
-        return sum(len(ne_turns(p)) for p in self.paths)
-
-
 def ne_turns(path: LatticePath) -> list[LatticePoint]:
     """Points ending a North step and starting an East step, in path order."""
     turns = []

@@ -16,8 +16,10 @@ at z^2 = 4^b, whose base-4^b digits are its coefficients, from two
 eliminations on integers half as long as one packing at 2^K needs.
 
 This module owns that base-2^k digit format: ``_pack`` evaluates a
-polynomial at 2^k, ``_unpack`` reads unsigned digits back (the pipeline
-determinant and the ``genfun`` recursive engine both use it), and
+polynomial at 2^k, ``_pack_terms`` packs (exponent, coefficient) terms
+and rejects a coefficient that is not a digit (the ``genfun`` recursive
+engine packs its closed forms with it), ``_unpack`` reads unsigned digits
+back (the pipeline determinant and the recursive engine both use it), and
 ``_bareiss`` eliminates on the packed integers.
 
 Everything here is immutable and pure; concurrent callers need no locks.
@@ -188,6 +190,20 @@ def _pack(coeffs: Sequence[int], k: int) -> int:
     v = 0
     for c in reversed(coeffs):
         v = (v << k) + c
+    return v
+
+
+def _pack_terms(terms: Iterable[tuple[int, int]], k: int) -> int:
+    """The sum of c * 2^(k*e) over the terms (e, c), exponents distinct.
+
+    Raises ValueError unless every coefficient is a base-2^k digit
+    (0 <= c < 2^k): anything else would spill into its neighbours.
+    """
+    v = 0
+    for e, c in terms:
+        if c < 0 or c >> k:
+            raise ValueError(f"coefficient {c} is not a base-2^{k} digit")
+        v |= c << (k * e)
     return v
 
 

@@ -245,6 +245,15 @@ def test_instance_not_an_object_exits_2(capsys, tmp_path):
     assert "validation error" in err
 
 
+def test_instance_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b'\xff\xfe{"a":1}')
+    code, _, err = run(capsys, ["hilbert", "--input", str(path)])
+    assert code == 2
+    assert "validation error" in err
+    assert "Traceback" not in err
+
+
 def test_negative_series_terms_rejected(capsys, hypersurface):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--input", hypersurface, "--series-terms", "-3"])

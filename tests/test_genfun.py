@@ -27,18 +27,17 @@ from laddergf import (
     partition_border,
     validate_ladder,
 )
-from laddergf.genfun import (
-    _Engine,
-    _diagonal_terms,
-    _pack,
-    _pack_terms,
-    _runs,
-    _trivial_terms,
-    _unpack,
-)
+from laddergf.genfun import _Engine, _diagonal_terms, _runs, _trivial_terms
+from laddergf.polyring import _pack_terms, _unpack
 from helpers import flagship_ladder, random_ladder, random_taspec_wide
 
 P = HalfPolynomial
+
+
+def _packed(p: HalfPolynomial, k: int) -> int:
+    """p at q = 2^k; raises ValueError unless every coefficient is a
+    base-2^k digit."""
+    return _pack_terms(enumerate(p.coeffs), k)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +267,12 @@ def test_recursive_packing_width_on_wide_ladders():
 
 
 def test_packing_helpers_reject_bad_input():
-    assert _unpack(_pack(P([3, 0, 7]), 3), 3) == P([3, 0, 7])
-    assert _pack(P.zero(), 1) == 0 and _unpack(0, 1) == P.zero()
+    assert _unpack(_packed(P([3, 0, 7]), 3), 3) == P([3, 0, 7])
+    assert _packed(P.zero(), 1) == 0 and _unpack(0, 1) == P.zero()
     with pytest.raises(ValueError):
-        _pack(P([1, -1]), 4)
+        _packed(P([1, -1]), 4)
     with pytest.raises(ValueError):
-        _pack(P([16]), 4)
+        _packed(P([16]), 4)
     with pytest.raises(ValueError):
         _unpack(-1, 4)
     with pytest.raises(ValueError):
@@ -299,7 +298,7 @@ def _closed_form_cases(rng):
 
 def test_packed_closed_forms_match_public_ones():
     """The engine packs the closed forms from their term generators; the
-    result must equal the public HalfPolynomial packed by ``_pack``.  The
+    result must equal the public HalfPolynomial packed by ``_packed``.  The
     diagonal offsets D sit at the edge of the reflection hypothesis
     (alpha_1 + D + 1 + l + d = alpha_2 or eps_1 + D + 1 + d = eps_2) and up
     to two beyond it."""
@@ -308,14 +307,14 @@ def test_packed_closed_forms_match_public_ones():
         w1, w2 = e1 - a1 + 1, e2 - a2 + 1
         k = max(0, w1) + max(0, w2) + 1
         packed = _pack_terms(_trivial_terms(l, a1, a2, e1, e2), k)
-        assert packed == _pack(gf_trivial(l, (a1, a2), (e1, e2), d), k)
+        assert packed == _packed(gf_trivial(l, (a1, a2), (e1, e2), d), k)
         # the product formula with ``binomial`` on the raw widths
         assert packed == sum(binomial(w1, j + l) * binomial(w2, j) << k * (2 * j + l)
                              for j in range(max(0, -l), 12))
         edge = max(a2 - a1 - 1 - l - d, e2 - e1 - 1 - d)
         for D in (edge, edge + 1, edge + 2):
             packed = _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, D, d), k)
-            public = _pack(gf_diagonal(l, (a1, a2), (e1, e2), D, d), k)
+            public = _packed(gf_diagonal(l, (a1, a2), (e1, e2), D, d), k)
             assert packed == public, (l, a1, a2, e1, e2, D, d)
 
 
@@ -330,7 +329,7 @@ def test_packed_closed_forms_reject_wide_coefficients():
         _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 5)
     with pytest.raises(ValueError):
         _pack_terms(_diagonal_terms(0, 0, 0, 3, 3, 3, 0), 5)
-    assert _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 6) == _pack(gf_trivial(0, (0, 0), (3, 3)), 6)
+    assert _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 6) == _packed(gf_trivial(0, (0, 0), (3, 3)), 6)
 
 
 def test_engine_on_one_diagonal_piece_matches_enumeration():
@@ -350,10 +349,10 @@ def test_engine_on_one_diagonal_piece_matches_enumeration():
         a2 = rng.randint(max(0, a1 + D - 1), a1 + D + 1)
         spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
         engine = _Engine(lad, [spec])
-        truth = _pack(enumerate_arrays(spec), engine.k)
+        truth = _packed(enumerate_arrays(spec), engine.k)
         assert engine.eval(l, a1, a2, e1, e2, d) == truth
         assert engine._pieces(a1, a2, e1, e2) == [(a1 - 1, e1, True, D)]
-        assert _pack(gf_diagonal(l, (a1, a2), (e1, e2), D, d), engine.k) == truth
+        assert _packed(gf_diagonal(l, (a1, a2), (e1, e2), D, d), engine.k) == truth
         by_formula += not engine._vacuous(l, a1, a2, e1, e2, d)
     assert by_formula >= 50
 
@@ -389,8 +388,8 @@ def test_engine_splits_off_columns_clearing_eps2():
         partitioned = []
         pieces = engine._pieces
         engine._pieces = lambda *window: partitioned.append(window) or pieces(*window)
-        truth = _pack(enumerate_arrays(spec), engine.k)
-        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _pack(gf_direct(spec), engine.k), spec
+        truth = _packed(enumerate_arrays(spec), engine.k)
+        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _packed(gf_direct(spec), engine.k), spec
         windows += 1
         if not engine._vacuous(l, a1, a2, e1, e2, d) and (a1, a2, e1, e2) not in partitioned:
             fired += 1

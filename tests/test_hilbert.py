@@ -432,6 +432,32 @@ def test_engine_registry_under_threads(monkeypatch):
     assert len(_ENGINES) == before
 
 
+def test_widening_frees_or_empties_the_replaced_engine():
+    """Two equal, distinct ladders: a 1 x 1 minor on the first, then a 5 x 5
+    minor on the second, which needs a wider packing.  The engine that the
+    first ladder used is then freed or keeps an empty memo, so only one
+    memo per ladder value is kept."""
+    gc.collect()
+    first, second = (validate_ladder(26, 26, SWEEP_VALUES) for _ in range(2))
+    hilbert_series(first, Bivector((11,), (11,)))
+    narrow = weakref.ref(_ENGINES[first])
+    k = narrow().k
+    hilbert_series(second, Bivector((1, 2, 3, 4, 5), (1, 3, 5, 7, 9)))
+    gc.collect()
+    assert _ENGINES[second].k > k
+    assert narrow() is None or not narrow().memo
+
+
+def test_queried_ladder_compares_hashes_and_prints_as_before():
+    """Asking for an engine leaves the ladder's value alone: it still equals
+    and hashes like a fresh equal ladder, and its repr is unchanged."""
+    queried, fresh = (validate_ladder(26, 26, SWEEP_VALUES) for _ in range(2))
+    before = repr(queried)
+    hilbert_series(queried, Bivector((1, 2), (1, 2)))
+    assert queried == fresh and hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh) == before
+
+
 def test_equal_ladders_share_one_engine():
     """A query on a ladder equal to, but distinct from, one queried before
     reuses that ladder's engine and gives the same series as the direct

@@ -13,7 +13,6 @@ from laddergf import (
     LatticePath,
     LatticePoint,
     MismatchFound,
-    PathFamily,
     TASpec,
     enumerate_arrays,
     enumerate_path_families,
@@ -83,14 +82,6 @@ def test_enumerate_arrays_matches_trivial_form():
                     lad = validate_ladder(w1, b, [b + 1] * (w1 + 1))
                     spec = TASpec(l, (0, 0), (w1 - 1, w2 - 1), d, lad)
                     assert enumerate_arrays(spec) == gf_trivial(l, (0, 0), (w1 - 1, w2 - 1), d)
-
-
-def test_path_family_turn_count():
-    family = PathFamily((
-        LatticePath((0, 0), ("N", "E", "N", "E")),
-        LatticePath((2, 0), ("E", "N")),
-    ))
-    assert family.turn_count() == 2
 
 
 def test_single_path_families():
