@@ -25,12 +25,11 @@ Two evaluation strategies are provided:
   closed binomial forms: the unrestricted form, where the coupling cannot
   bind, and the reflection form for one diagonal piece.  A whole diagonal
   piece costs it one closed form instead of one interval per column.  It
-  keeps one memo per ladder, shared by every query on that ladder or an
-  equal one and freed with the last of those: a pinned-start set (first
-  row starting exactly at alpha_1) is the memoized difference of the sets
-  starting at alpha_1 and alpha_1 + 1.  A single flat piece, and a
-  diagonal piece that fails the
-  reflection hypothesis, are peeled at x = eps_1, because second-row
+  keeps one memo per ladder object, shared by every query on it and living
+  as long as that ladder: a pinned-start set (first row starting exactly
+  at alpha_1) is the memoized difference of the sets starting at alpha_1
+  and alpha_1 + 1.  A single flat piece, and a diagonal piece that fails
+  the reflection hypothesis, are peeled at x = eps_1, because second-row
   entries at or above f(eps_1) can only be the at most d unpaired top
   ones.  First-row entries in the columns where the boundary clears
   eps_2 (f >= eps_2 + 1) are the mirror case: they clear every second-row
@@ -60,7 +59,6 @@ bisection.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import comb
@@ -71,7 +69,7 @@ from .errors import (
     PreconditionViolated,
     StarRequiresNonemptyFirstColumn,
 )
-from .model import LadderFunction, LatticePoint, as_point
+from .model import LadderFunction, LatticePoint, _require_int, as_point
 from .polyring import HalfPolynomial, _pack_terms, _unpack, binomial
 
 
@@ -81,7 +79,8 @@ class TASpec:
 
     l is the row-length difference (type), start/end hold the bounds
     (alpha_1, alpha_2) and (eps_1, eps_2), and d is the coupling offset.
-    The recursive and direct methods additionally require l + d >= 0; the
+    l and d must be ``int``s, a bool excluded (ValidationError).  The
+    recursive and direct methods additionally require l + d >= 0; the
     brute-force oracle does not.
     """
 
@@ -92,6 +91,8 @@ class TASpec:
     ladder: LadderFunction
 
     def __post_init__(self):
+        _require_int(self.l, "l")
+        _require_int(self.d, "d")
         object.__setattr__(self, "start", as_point(self.start))
         object.__setattr__(self, "end", as_point(self.end))
         if self.d < 0:
@@ -392,10 +393,8 @@ class _Engine:
     """
 
     def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
-        # an equal copy, the engine's registry key: it holds no engine, so
-        # the ladders that hold this one can die.  ``copy.copy`` would read
-        # the ladder's ``__dict__``, which makes every later attribute read
-        # on it 2-3x slower in CPython 3.11.
+        # an equal copy that holds no engine: no ladder -> engine -> ladder
+        # cycle, so refcounting frees the engine with its ladder
         self.ladder = replace(ladder)
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
@@ -493,34 +492,23 @@ class _Engine:
         return acc
 
 
-# The recursive engine of each ladder value, keyed by the engine's own copy
-# of the ladder, so that equal ladders find one engine (its memo depends only
-# on the boundary).  Each ladder that asked for it holds it, so it lives
-# while any of them does and leaves the registry with the last.
-_ENGINES: weakref.WeakValueDictionary[LadderFunction, _Engine] = weakref.WeakValueDictionary()
-
-
 def _engine_for(ladder: LadderFunction, specs: list[TASpec]) -> _Engine:
-    """The ladder's engine, so that every query on one ladder, or on an
-    equal one, shares its memo.
+    """The ladder's engine, so that every query on one ladder object shares
+    its memo, which lives as long as that ladder object.
 
     The ladder keeps the engine in its ``_engine`` attribute, the instance
     cache idiom of ``functools.cached_property``; the attribute takes no
-    part in equality, hashing or repr.  An engine packs at a fixed width k,
-    so when a spec needs a wider one, a new engine made for these specs
-    replaces the registered one, whose memo is cleared: an equal ladder
-    still holding it keeps no second memo.  A pass over the minors of one
-    ladder grows k a few times.  Two threads may race to replace it, or
-    clear a memo that another query is filling; every engine's values are
-    exact, so the worst a race does is recompute some of them.
+    part in equality, hashing, repr, copying or pickling.  An engine packs
+    at a fixed width k, so when a spec needs a wider one, a new engine made
+    for these specs replaces it, and the old one is freed.  A pass over the
+    minors of one ladder grows k a few times.  Two threads may race to
+    replace it; every engine's values are exact, so the worst a race does
+    is recompute some of them.
     """
-    engine = _ENGINES.get(ladder)
+    engine = getattr(ladder, "_engine", None)
     if engine is None or any(_row_slots(spec) >= engine.k for spec in specs):
-        if engine is not None:
-            engine.memo.clear()
         engine = _Engine(ladder, specs)
-        _ENGINES[engine.ladder] = engine  # a key already present stays
-    object.__setattr__(ladder, "_engine", engine)
+        object.__setattr__(ladder, "_engine", engine)
     return engine
 
 

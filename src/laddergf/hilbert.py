@@ -8,10 +8,10 @@ t-th shifted start and end equal to the s-th shifted end.  Dividing by
 determinantal ring cogenerated by the bivector.
 
 The recursive method answers every query on a ladder from one engine kept
-for that ladder, so the entries of one matrix, and the minors of one ladder,
-share sub-results; each ladder that used the engine holds it, so it lives as
-long as any of those equal ladders.  Values are exact counts, so evaluation
-order never affects the result.
+on that ladder object, so the entries of one matrix, and the minors of one
+ladder, share sub-results; the engine's memo lives as long as the ladder
+object that was queried.  Values are exact counts, so evaluation order never
+affects the result.
 """
 
 from __future__ import annotations
@@ -141,10 +141,10 @@ def build_gf_matrix(
     evaluation method.
 
     The recursive method fills all n^2 entries from the ladder's engine,
-    which every earlier query on the ladder (or on an equal one) filled too,
-    so that entries and queries share sub-results.  It is replaced by a new
-    engine when an entry needs a wider packing than it has.  The engine is
-    freed with the last of the equal ladders that used it.
+    which every earlier query on this ladder object filled too, so that
+    entries and queries share sub-results.  It is replaced by a new engine
+    when an entry needs a wider packing than it has.  The engine's memo
+    lives as long as the ladder object that was queried.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -75,6 +75,11 @@ class LadderFunction:
         object.__setattr__(self, "values", _as_tuple(self.values, "values", ValueOutOfRange))
         _check_ladder(self.a, self.b, self.values)
 
+    def __reduce__(self):
+        # a ladder's value is (a, b, values); the engine a query leaves in
+        # its ``__dict__`` is not pickled or copied
+        return LadderFunction, (self.a, self.b, self.values)
+
     def value(self, x: int) -> int:
         """f(x), extended by f(x) = f(0) for x < 0.  Undefined right of a."""
         if x < 0:

@@ -15,6 +15,7 @@ from laddergf import (
     PreconditionViolated,
     StarRequiresNonemptyFirstColumn,
     TASpec,
+    ValidationError,
     binomial,
     enumerate_arrays,
     gf_diagonal,
@@ -187,6 +188,16 @@ def test_taspec_validation():
         gf_direct(TASpec(-2, (0, 0), (1, 1), 1, lad))
     with pytest.raises(StarRequiresNonemptyFirstColumn):
         gf_star_recursive(TASpec(0, (2, 0), (1, 1), 0, lad))
+
+
+@pytest.mark.parametrize("l, d", [(0.5, 0), (True, 0), ("0", 0), (0, 1.0), (0, True)],
+                         ids=["l=0.5", "l=True", "l='0'", "d=1.0", "d=True"])
+def test_taspec_type_and_offset_must_be_ints(l, d):
+    """A non-integer l or d, a bool included, is rejected up front, instead
+    of one engine answering (or answering 0) where the other raises."""
+    lad = validate_ladder(3, 3, [1, 2, 3, 4])
+    with pytest.raises(ValidationError):
+        TASpec(l, (0, 0), (3, 3), d, lad)
 
 
 def test_direct_on_trivial_ladder():

@@ -1,7 +1,8 @@
 """The determinant pipeline and the Hilbert series assembly."""
 
-import gc
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from laddergf import (
     validate_general_endpoints,
     validate_ladder,
 )
-from laddergf.genfun import _ENGINES, _Engine
+from laddergf.genfun import _Engine
 from laddergf.hilbert import matrix_specs
 from laddergf.polyring import _bareiss
 from helpers import (
@@ -346,7 +347,7 @@ def test_ladder_engine_shared_across_minors():
     for m in [Bivector((11,), (11,))] + minors:
         cfg = endpoints_from_bivector(lad, m)
         shared = build_gf_matrix(lad, cfg).entries
-        widths.append(_ENGINES[lad].k)
+        widths.append(lad._engine.k)
         specs = matrix_specs(lad, cfg)
         fresh = _Engine(lad, [spec for row in specs for spec in row])
         assert shared == tuple(tuple(map(fresh.gf, row)) for row in specs), m
@@ -354,65 +355,32 @@ def test_ladder_engine_shared_across_minors():
 
 
 def test_ladder_engine_dies_with_ladder():
-    """The engine holds no reference to its ladder: once the ladder is
-    gone, its registry entry and the engine itself are freed."""
-    gc.collect()
-    before = len(_ENGINES)
-    lad = validate_ladder(26, 27, SWEEP_VALUES[:-2] + (28, 28))  # equal to no other ladder
+    """The engine holds no reference to its ladder, so refcounting frees
+    it with the ladder, without waiting for the cycle collector."""
+    lad = validate_ladder(26, 26, SWEEP_VALUES)
     hilbert_series(lad, Bivector((1, 2), (1, 2)))
-    assert len(_ENGINES) == before + 1
-    ladder_ref, engine_ref = weakref.ref(lad), weakref.ref(_ENGINES[lad])
+    ladder_ref, engine_ref = weakref.ref(lad), weakref.ref(lad._engine)
     del lad
-    gc.collect()
     assert ladder_ref() is None and engine_ref() is None
-    assert len(_ENGINES) == before
 
 
-def test_engine_lives_while_an_equal_ladder_does():
-    """When the ladder whose query made the engine dies, an equal ladder
-    that also used it keeps it, memo and all; the engine dies with the
-    last of them."""
-    gc.collect()
-    before = len(_ENGINES)
-    # equal to each other and to no other ladder
-    first, second = (validate_ladder(12, 12, (4, 6, 7, 7, 8, 9, 11) + (13,) * 6)
-                     for _ in range(2))
-    m = Bivector((1, 3), (2, 5))
-    series = hilbert_series(first, m)
-    assert hilbert_series(second, m) == series
-    engine = _ENGINES[second]
-    memo = dict(engine.memo)
-    del first
-    gc.collect()
-    assert _ENGINES[second] is engine and engine.memo == memo
-    assert hilbert_series(second, m) == series and engine.memo == memo
-    engine_ref = weakref.ref(engine)
-    del second, engine
-    gc.collect()
-    assert engine_ref() is None
-    assert len(_ENGINES) == before
-
-
-def test_engine_registry_under_threads(monkeypatch):
-    """Threads that make, query and drop equal ladders at once, with a
-    short switch interval, get the right series; no weak-reference callback
-    fails; and once every ladder is gone no entry is left."""
-    gc.collect()
-    before = len(_ENGINES)
-    values = (3, 4, 4, 5, 7) + (8,) * 4  # equal to no other ladder
-    m = Bivector((1, 2), (1, 3))
-    want = hilbert_series(validate_ladder(8, 7, values), m, "direct")
+def test_engine_registry_under_threads():
+    """Threads that query one shared ladder at once, with a short switch
+    interval and minors that need ever wider packings, so that the engine
+    is replaced while others use it, all get the right series."""
+    values = (4, 5, 5, 6, 7, 8) + (10,) * 5
+    lad = validate_ladder(10, 9, values)
+    minors = [Bivector((4,), (4,)), Bivector((3,), (3,)), Bivector((2, 3), (2, 3)),
+              Bivector((1, 2, 3), (1, 2, 3)), Bivector((1, 2, 3, 4), (1, 2, 3, 4))]
+    want = [hilbert_series(validate_ladder(10, 9, values), m, "direct") for m in minors]
     failures = []
-    monkeypatch.setattr(sys, "unraisablehook", failures.append)
 
     def work():
         try:
-            for i in range(40):
-                kept = validate_ladder(8, 7, values)
-                if hilbert_series(kept, m) != want:
-                    failures.append(i)
-                if i % 8 == 0:
-                    gc.collect()
+            for i in range(10):
+                for m, series in zip(minors, want):
+                    if hilbert_series(lad, m) != series:
+                        failures.append((i, m))
         except Exception as exc:  # reported through the assertion below
             failures.append(exc)
 
@@ -427,25 +395,22 @@ def test_engine_registry_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    gc.collect()
     assert not failures, failures
-    assert len(_ENGINES) == before
+    first = matrix_specs(lad, endpoints_from_bivector(lad, minors[0]))
+    assert lad._engine.k > _Engine(lad, [spec for row in first for spec in row]).k
 
 
 def test_widening_frees_or_empties_the_replaced_engine():
-    """Two equal, distinct ladders: a 1 x 1 minor on the first, then a 5 x 5
-    minor on the second, which needs a wider packing.  The engine that the
-    first ladder used is then freed or keeps an empty memo, so only one
-    memo per ladder value is kept."""
-    gc.collect()
-    first, second = (validate_ladder(26, 26, SWEEP_VALUES) for _ in range(2))
-    hilbert_series(first, Bivector((11,), (11,)))
-    narrow = weakref.ref(_ENGINES[first])
+    """A 1 x 1 minor, then a 5 x 5 minor on the same ladder, which needs a
+    wider packing: the replaced engine is freed, so the ladder keeps one
+    memo."""
+    lad = validate_ladder(26, 26, SWEEP_VALUES)
+    hilbert_series(lad, Bivector((11,), (11,)))
+    narrow = weakref.ref(lad._engine)
     k = narrow().k
-    hilbert_series(second, Bivector((1, 2, 3, 4, 5), (1, 3, 5, 7, 9)))
-    gc.collect()
-    assert _ENGINES[second].k > k
-    assert narrow() is None or not narrow().memo
+    hilbert_series(lad, Bivector((1, 2, 3, 4, 5), (1, 3, 5, 7, 9)))
+    assert lad._engine.k > k
+    assert narrow() is None
 
 
 def test_queried_ladder_compares_hashes_and_prints_as_before():
@@ -458,15 +423,14 @@ def test_queried_ladder_compares_hashes_and_prints_as_before():
     assert repr(queried) == repr(fresh) == before
 
 
-def test_equal_ladders_share_one_engine():
-    """A query on a ladder equal to, but distinct from, one queried before
-    reuses that ladder's engine and gives the same series as the direct
-    method."""
-    first, second = (validate_ladder(12, 12, (5, 6, 7, 7, 8, 9, 11) + (13,) * 6)
-                     for _ in range(2))
-    assert first is not second
-    m = Bivector((1, 3, 4), (2, 3, 5))
-    series = hilbert_series(first, m)
-    engine = _ENGINES[first]
-    assert hilbert_series(second, m) == series == hilbert_series(second, m, "direct")
-    assert _ENGINES[second] is engine
+def test_queried_ladder_pickles_and_copies_without_its_engine():
+    """A ladder's value is (a, b, values): a queried ladder pickles to the
+    same bytes as a fresh equal one and round-trips equal, and neither a
+    shallow nor a deep copy carries the engine or its memo."""
+    queried, fresh = (validate_ladder(26, 26, SWEEP_VALUES) for _ in range(2))
+    hilbert_series(queried, Bivector((1, 2, 3), (1, 2, 3)))
+    assert queried._engine.memo
+    assert pickle.dumps(queried) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(queried)) == queried
+    for clone in (copy.copy(queried), copy.deepcopy(queried)):
+        assert clone == queried and not hasattr(clone, "_engine")
