@@ -20,22 +20,22 @@ Two evaluation strategies are provided:
   running entry counts of the two rows in time polynomial in the ladder.
   It uses no closed form.
 
-* ``gf_recursive`` -- peel the rightmost piece of the boundary (horizontal
-  run or diagonal staircase run) and recurse.  Its base cases are two
-  closed binomial forms: the unrestricted form, where the coupling cannot
-  bind, and the reflection form for one diagonal piece.  A whole diagonal
-  piece costs it one closed form instead of one interval per column.  It
-  keeps one memo per ladder object, shared by every query on it and living
-  as long as that ladder: a pinned-start set (first row starting exactly
-  at alpha_1) is the memoized difference of the sets starting at alpha_1
-  and alpha_1 + 1.  A single flat piece, and a diagonal piece that fails
-  the reflection hypothesis, are peeled at x = eps_1, because second-row
-  entries at or above f(eps_1) can only be the at most d unpaired top
-  ones.  First-row entries in the columns where the boundary clears
-  eps_2 (f >= eps_2 + 1) are the mirror case: they clear every second-row
-  entry, so they are split off in one step, m of them at a time, leaving
-  type l - m and offset d + m on the columns to their left.  So the two
-  engines share no formula.  It computes on packed integers, each value
+* ``gf_recursive`` -- peel the maximal run of the boundary (horizontal
+  or diagonal staircase) that ends at eps_1, and recurse.  Its base cases
+  are two closed binomial forms: the unrestricted form, where the coupling
+  cannot bind, and the reflection form for one diagonal run.  A whole
+  diagonal run costs it one closed form instead of one interval per
+  column.  It keeps one memo per ladder object, shared by every query on it
+  and living as long as that ladder: a pinned-start set (first row starting
+  exactly at alpha_1) is the memoized difference of the sets starting at
+  alpha_1 and alpha_1 + 1.  A flat run, and a diagonal run that fails the
+  reflection hypothesis, that fill [alpha_1, eps_1] are peeled at x = eps_1,
+  because second-row entries at or above f(eps_1) can only be the at most d
+  unpaired top ones.  First-row entries in the columns where the boundary
+  clears eps_2 (f >= eps_2 + 1) are the mirror case: they clear every
+  second-row entry, so they are split off in one step, m of them at a time,
+  leaving type l - m and offset d + m on the columns to their left.  So the
+  two engines share no formula.  It computes on packed integers, each value
   its generating function at q = 2^k: every coefficient counts arrays
   whose rows are subsets of ranges holding W slots in all, so it is a
   nonnegative integer at most 2^W, and with k = W + 1 the base-2^k digits
@@ -52,16 +52,17 @@ Two evaluation strategies are provided:
 Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
 before analysing its shape; values outside that window constrain nothing,
 so the clamp preserves the array set while merging irrelevant pieces.  The
-recursive engine takes the window as a slice of the boundary values and,
-since f is weakly increasing, finds the clamped prefix and suffix by
-bisection.
+recursive engine never builds the clamped window: it finds the columns
+above eps_2 by bisection and splits them off, and reads the run of the
+clamped boundary that ends at eps_1 from a run index built once per
+engine, in O(1) per sub-problem.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, inf
 from typing import Iterable, Iterator, Literal
 
 from .errors import (
@@ -198,8 +199,11 @@ def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
 
     sum_k C(eps_1 - alpha_1 + 1, k + l) * C(eps_2 - alpha_2 + 1, k) q^(2k+l).
     Degenerate (empty) ranges come out right through the binomial
-    convention; d plays no role without a boundary.
+    convention; d plays no role without a boundary.  l and d must be
+    ``int``s, a bool excluded (ValidationError), as in ``TASpec``.
     """
+    _require_int(l, "l")
+    _require_int(d, "d")
     alpha, eps = as_point(alpha), as_point(eps)
     return HalfPolynomial.from_dict(dict(_trivial_terms(l, alpha.x, alpha.y, eps.x, eps.y)))
 
@@ -207,10 +211,13 @@ def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
 def gf_star_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
     """Unrestricted arrays whose first row starts exactly at alpha_1: the
     form at start alpha_1 minus the form at start alpha_1 + 1."""
-    return _pinned(gf_trivial, l, alpha, eps)
+    return _pinned(gf_trivial, l, alpha, eps, d)
 
 
 def _check_diagonal_pre(l, alpha, eps, D, d):
+    _require_int(l, "l")
+    _require_int(D, "D")
+    _require_int(d, "d")
     _require_pairing(l, d)
     if alpha.x + D + 1 + l + d < alpha.y:
         raise PreconditionViolated(
@@ -237,7 +244,8 @@ def _diagonal_terms(l: int, a1: int, a2: int, e1: int, e2: int, D: int,
 
 def gf_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
     """Diagonal boundary f(x) = x + D + 1: unrestricted count minus a
-    reflection term, by the standard bad-array correspondence."""
+    reflection term, by the standard bad-array correspondence.  l, D and d
+    must be ``int``s, a bool excluded (ValidationError)."""
     alpha, eps = as_point(alpha), as_point(eps)
     _check_diagonal_pre(l, alpha, eps, D, d)
     return HalfPolynomial.from_dict(
@@ -347,7 +355,7 @@ class _Engine:
     straight from their term generators, which rejects a coefficient
     outside [0, 2^k): the form of ``gf_trivial`` where ``_vacuous`` finds
     that the coupling cannot bind (an empty first row included), and that
-    of ``gf_diagonal`` for one diagonal piece that meets the reflection
+    of ``gf_diagonal`` for one diagonal run that meets the reflection
     hypothesis (eps_1 + D + 1 + d >= eps_2; its other hypothesis,
     alpha_1 + D + 1 + l + d >= alpha_2, holds because the clamped boundary
     is at least alpha_2 and every engine call keeps l + d >= 0).  A miss
@@ -370,26 +378,41 @@ class _Engine:
     Without this step every peel's prefix windows, which end in such
     columns, would be peeled again one column at a time.
 
-    Every other spec is peeled: at the last interior piece boundary, or at
-    x = eps_1 for a single flat piece at level h <= eps_2 or a single
-    diagonal piece that fails the hypothesis.  A second-row entry at or
-    above f(eps_1) exceeds the boundary at every first-row entry, so it can
-    only be one of the at most d unpaired top entries; splitting those off
-    leaves sub-problems with eps_2 = f(eps_1) - 1, which are vacuous under
-    a flat piece and satisfy the hypothesis under a diagonal one.  So the
-    engine shares no formula with the direct multi-sum, and
+    Every other spec is peeled at a column x of its window.  Write g for the
+    boundary clamped below at alpha_2 and split each array at its first
+    second-row entry b_s >= g(x).  As g is weakly increasing, b_s is at least
+    g at every column up to x and pairs with none of them.  So either b_s and
+    the entries above it are among the at most d unpaired top entries (the
+    boundary terms), or b_s pairs with a first-row entry j > x; then the
+    entries from that pair on form a tail of type -d on
+    [j, eps_1] x [g(x), eps_2] whose first row starts exactly at j, and the
+    entries before it an array of type l + d, offset 0, on
+    [alpha_1, j - 1] x [alpha_2, g(x) - 1].  Every pair lies in one part and
+    every such pair of parts glues back, so the peel is exact at every x,
+    not only at a piece boundary of ``_runs``.  The choice of x decides
+    only the shape of the parts, and the engine takes the column before the
+    maximal run of g that ends at eps_1.  Then each tail window [j, eps_1]
+    with j > x lies on that one run, which the clamp at g(x) leaves as it
+    is; a diagonal tail is a closed form or, failing the hypothesis, one
+    peel at its eps_1, and a flat one peels into vacuous terms.  The
+    forward-greedy last piece is a run ending at eps_1 too, and may be
+    shorter.  Where the run fills the window, the spec is a diagonal closed
+    form or is peeled at x = eps_1: a second-row entry at or above f(eps_1)
+    exceeds the boundary at every first-row entry, so only boundary terms
+    remain, with eps_2 = f(eps_1) - 1, vacuous under a flat run and meeting
+    the hypothesis under a diagonal one.  Every left part and boundary term
+    has a smaller eps_2 and every tail a larger alpha_1, so the recursion
+    ends.  It shares no formula with the direct multi-sum, and
     ``direct == recursive`` checks two independent computations.
 
     The boundary clamped into [alpha_2, eps_2 + 1] is a function of the
     numeric parameters alone, so the memo key is just the parameter tuple.
-    ``_pieces`` slices that window out of ``ladder.values`` and partitions
-    it with ``_runs``, the forward-greedy partition of ``partition_border``.
-    A trailing clamped-flat piece merges into a preceding diagonal whenever
-    the diagonal's continuation clears the clamp level: on that stretch both
-    shapes exceed every admissible second-row entry, constraining nothing.
-    The clearing columns are split off first, so no window that ``_eval``
-    partitions reaches eps_2 + 1, and there the upper clamp and the merge
-    never take effect.
+    ``_last_run`` reads the run of g that ends at eps_1 in O(1) from a run
+    index built once per engine: for each column, the first column of the
+    flat run and of the diagonal run of f that end there.  The clearing
+    columns are split off first, so no window that ``_eval`` peels reaches
+    eps_2 + 1, and the upper clamp never applies there.  ``_pieces``, the
+    forward-greedy partition of a clamped window, is not on this path.
     """
 
     def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
@@ -398,6 +421,15 @@ class _Engine:
         self.ladder = replace(ladder)
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
+        # the run index: a column starts its own flat (diagonal) run unless
+        # f steps into it by 0 (by 1); f is flat left of 0
+        vals = self.ladder.values
+        flat, diag = [-inf], [0]
+        for x in range(1, len(vals)):
+            step = vals[x] - vals[x - 1]
+            flat.append(flat[-1] if step == 0 else x)
+            diag.append(diag[-1] if step == 1 else x)
+        self._flat_start, self._diag_start = flat, diag
 
     def gf(self, spec: TASpec) -> HalfPolynomial:
         """The generating function of spec, unpacked; spec must be no wider
@@ -418,6 +450,8 @@ class _Engine:
         The window is a slice of ``ladder.values``, with f(0) repeated for
         the columns left of 0.  f is weakly increasing, so the values below
         a2 form a prefix and those above e2 + 1 a suffix, found by bisection.
+        The recursion reads its split point from ``_last_run`` instead; this
+        is the forward-greedy partition that the tests compare it with.
         """
         vals = self.ladder.values
         if e1 > self.ladder.a:
@@ -436,12 +470,40 @@ class _Engine:
                 pieces[-2:] = [(x_lo, x_end, True, level)]
         return pieces
 
+    def _last_run(self, a1, a2, e1, e2) -> tuple[int, bool, int]:
+        """The maximal run ending at e1 of the boundary on columns a1..e1
+        clamped below at a2, as (x_lo, diagonal, level) for the columns
+        x_lo+1..e1, read from the run index in O(1).  The run fills the
+        window iff x_lo = a1 - 1; a lone column counts as flat, at level
+        g(e1), and a diagonal run's level is D with g(x) = x + D + 1.
+
+        The window must hold a column (a1 <= e1 <= a) and lie below the
+        top, f(e1) <= e2, as every window the engine peels does; there the
+        upper clamp at e2 + 1 changes nothing, so it is not computed.
+        """
+        vals = self.ladder.values
+        c = max(e1, 0)
+        h = vals[c]
+        if h <= a2 or e1 == a1:  # flat at max(h, a2) throughout, or one column
+            return a1 - 1, False, max(h, a2)
+        s = self._flat_start[c]
+        if s < c:  # g = f = h > a2 on the flat run, and g < h left of it
+            return max(s, a1) - 1, False, h
+        s = self._diag_start[c]
+        if vals[s] < a2:  # the clamp flattens the run left of f = a2
+            s = e1 - h + a2
+        elif vals[s] == a2 + 1 and s and vals[s - 1] < a2:
+            s -= 1  # the column before clamps up to a2 = f(s) - 1 and joins
+        if s == e1:  # a step of 2 or more into e1, not clamped away
+            return e1 - 1, False, h
+        return max(s, a1) - 1, True, h - e1 - 1
+
     def _vacuous(self, l, a1, a2, e1, e2, d) -> bool:
         """Can the coupling never bind?  (Sufficient check, not necessary.)"""
         kmax = min(max(0, e1 - a1 + 1) - l, max(0, e2 - a2 + 1))
         if kmax <= d:
             return True  # every second row is too short to reach a pair
-        return e2 - d < self.ladder.value(a1)
+        return e2 - d < self.ladder.values[max(a1, 0)]  # a1 <= e1 <= a here
 
     def eval(self, *key) -> int:
         """The memoized value of ``_eval`` at key = (l, a1, a2, e1, e2, d)."""
@@ -465,23 +527,27 @@ class _Engine:
                 if v:
                     acc += (v * comb(w, m)) << (self.k * m)
             return acc
-        pieces = self._pieces(a1, a2, e1, e2)
-        x_lo, _, diagonal, level = pieces[-1]
-        if len(pieces) > 1:
-            x = x_lo  # the last interior piece boundary
-        elif diagonal and e1 + level + 1 + d >= e2:
-            return _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, level, d), self.k)
-        else:
-            x = e1  # one flat piece, or a failing diagonal: only boundary terms remain
+        x, diagonal, level = self._last_run(a1, a2, e1, e2)
+        if x < a1:  # one run fills the window
+            if diagonal and e1 + level + 1 + d >= e2:
+                return _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, level, d), self.k)
+            x = e1  # one flat run, or a failing diagonal: only boundary terms remain
         fx = max(self.ladder.values[max(x, 0)], a2)  # <= e2 after the split above
+        memo = self.memo
         acc = 0
         # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
         # start eps_1 + 1 the first row is empty and the d second-row entries
         # in [f(x), eps_2] pair with nothing
         above = binomial(e2 - fx + 1, d) << (self.k * d)
-        for j in range(e1, x, -1):
-            tail = self.eval(-d, j, fx, e1, e2, d)
-            left = self.eval(l + d, a1, a2, j - 1, fx - 1, 0)
+        for j in range(e1, x, -1):  # the memo first: most lookups here hit
+            key = (-d, j, fx, e1, e2, d)
+            tail = memo.get(key)
+            if tail is None:
+                tail = self.eval(*key)
+            key = (l + d, a1, a2, j - 1, fx - 1, 0)
+            left = memo.get(key)
+            if left is None:
+                left = self.eval(*key)
             if left:
                 acc += left * (tail - above)
             above = tail
@@ -518,18 +584,22 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
     First splits off, in one step, the first-row entries in the columns
     where the boundary clears eps_2: they pair with every second-row entry
     freely, so m of them leave type l - m and offset d + m on the columns
-    to their left, with weight C(width, m) q^m.  Then splits at the last
-    interior piece boundary x: arrays decompose by the first second-row
-    entry reaching f(x) into a prefix below f(x) paired with a pinned-start
-    tail on the final piece, plus the boundary terms in which at most d
-    entries sit at or above f(x) unpaired.  The tail is the
-    memoized difference of the tails starting at j and j + 1.  A single
-    flat piece, and a single diagonal piece that fails the reflection
-    hypothesis, are peeled at x = eps_1: second-row entries at or above
-    f(eps_1) can only be the at most d unpaired top ones, so only boundary
-    terms remain.  The base cases are ``gf_trivial`` where the coupling
-    cannot bind and ``gf_diagonal`` for one diagonal piece; the direct
-    multi-sum is never called.
+    to their left, with weight C(width, m) q^m.  Then splits at x, the
+    column before the maximal run of the boundary g (clamped below at
+    alpha_2) that ends at eps_1: arrays decompose by the first second-row
+    entry reaching g(x) into a prefix below g(x) paired with a pinned-start
+    tail right of x, plus the boundary terms in which at most d entries sit
+    at or above g(x) unpaired.  That entry pairs with no first-row entry at
+    or left of x, since g is weakly increasing, so the decomposition is
+    exact at every column x, a run start or not; at the start of the run,
+    every tail lies on the run alone and is a base case after at most one
+    more peel.  The tail is the memoized difference of the tails starting
+    at j and j + 1.  A flat run, and a diagonal run that fails the
+    reflection hypothesis, that fill the window are peeled at x = eps_1:
+    second-row entries at or above f(eps_1) can only be the at most d
+    unpaired top ones, so only boundary terms remain.  The base cases are
+    ``gf_trivial`` where the coupling cannot bind and ``gf_diagonal`` for
+    one diagonal run; the direct multi-sum is never called.
     """
     _require_pairing(spec.l, spec.d)
     return _engine_for(spec.ladder, [spec]).gf(spec)

@@ -200,6 +200,26 @@ def test_taspec_type_and_offset_must_be_ints(l, d):
         TASpec(l, (0, 0), (3, 3), d, lad)
 
 
+@pytest.mark.parametrize("form, args", [
+    (gf_trivial, (True, (0, 0), (3, 3))),
+    (gf_trivial, (1.0, (0, 0), (3, 3))),
+    (gf_trivial, (0, (0, 0), (3, 3), 0.5)),
+    (gf_star_trivial, (0, (0, 0), (3, 3), True)),
+    (gf_star_trivial, (0.0, (0, 0), (3, 3))),
+    (gf_diagonal, (False, (0, 0), (3, 3), 0, 0)),
+    (gf_diagonal, (0, (0, 0), (3, 3), 1.0, 0)),
+    (gf_diagonal, (0, (0, 0), (3, 3), 0, True)),
+    (gf_star_diagonal, (0, (0, 0), (3, 3), True, 0)),
+    (gf_star_diagonal, (0, (0, 0), (3, 3), 0, 0.0)),
+])
+def test_closed_forms_take_int_parameters(form, args):
+    """The closed forms check l, D and d as ``TASpec`` checks l and d: a
+    bool or a float raises ValidationError, not an answer for 0 or 1 or a
+    bare TypeError."""
+    with pytest.raises(ValidationError):
+        form(*args)
+
+
 def test_direct_on_trivial_ladder():
     lad = validate_ladder(1, 1, [2, 2])
     spec = TASpec(0, (0, 0), (1, 1), 0, lad)
@@ -374,8 +394,8 @@ def test_engine_splits_off_columns_clearing_eps2():
     second-row entry, and the engine splits them off in one step.  Its
     value equals the enumeration and the direct engine.  The windows
     include alpha_1 < 0, l = -d, d up to 3 and t = alpha_1 + 1.  The rule
-    fired where the window is not vacuous and was never partitioned; it
-    does on at least 100."""
+    fired where the window is not vacuous and the engine never looked up a
+    split point for it (``_last_run``); it does on at least 100."""
     rng = random.Random(2210)
     windows = fired = 0
     seen = set()
@@ -397,8 +417,8 @@ def test_engine_splits_off_columns_clearing_eps2():
         spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
         engine = _Engine(lad, [spec])
         partitioned = []
-        pieces = engine._pieces
-        engine._pieces = lambda *window: partitioned.append(window) or pieces(*window)
+        last_run = engine._last_run
+        engine._last_run = lambda *window: partitioned.append(window) or last_run(*window)
         truth = _packed(enumerate_arrays(spec), engine.k)
         assert engine.eval(l, a1, a2, e1, e2, d) == truth == _packed(gf_direct(spec), engine.k), spec
         windows += 1
@@ -456,6 +476,66 @@ def test_sliced_boundary_matches_per_column_clamp():
         with pytest.raises(ValueError):
             engine._pieces(a1, a2, a + 1, e2)
     assert merged >= 10  # the trailing merge is exercised
+
+
+def _backward_run(lad, a1, a2, e1):
+    """The maximal run ending at e1 of the boundary on a1..e1 clamped below
+    at a2, found column by column: (x_lo, diagonal, level) as
+    ``_Engine._last_run`` gives it, a lone column counting as flat."""
+    g = [max(lad.value(x), a2) for x in range(a1, e1 + 1)]
+    i = len(g) - 1
+    step = g[i] - g[i - 1] if i else None
+    if step not in (0, 1):
+        return e1 - 1, False, g[-1]
+    while i and g[i] - g[i - 1] == step:
+        i -= 1
+    return a1 + i - 1, step == 1, g[-1] - e1 - 1 if step else g[-1]
+
+
+def test_run_index_matches_backward_run_of_clamped_boundary():
+    """``_Engine._last_run`` reads from the run index what the clamped
+    boundary gives column by column: its maximal run ending at eps_1.  The
+    boundaries are those of the per-column clamp test; the windows include
+    alpha_1 < 0, alpha_2 above every boundary value, eps_1 = alpha_1, and at
+    least 20 where the column before a raw diagonal run clamps up to
+    alpha_2 = f(start) - 1 and joins it.  Where the run starts left of the
+    forward-greedy last piece of ``_pieces``, the engine peels at another
+    column than that piece boundary; on at least 50 such windows that are
+    not vacuous, its value equals the enumeration and the direct engine."""
+    rng = random.Random(2218)
+    joined = checked = 0
+    seen = set()
+    for i in range(4000):
+        values = [rng.randint(1, 3)]
+        for _ in range(rng.randint(0, 10)):
+            values.append(values[-1] + rng.choice((0, 1, 1, 1, 2)))
+        lad = validate_ladder(len(values) - 1, values[-1] - 1 + rng.randint(0, 2), values)
+        a, high = lad.a, lad.values[-1]
+        a1 = rng.randint(-3, -1) if i % 3 == 0 else rng.randint(-3, a)
+        e1 = a1 if i % 4 == 0 else rng.randint(a1, a)
+        a2 = high + rng.randint(1, 3) if i % 5 == 0 else rng.randint(-2, high)
+        e2 = max(lad.value(e1), a2 - 1) + rng.randint(0, 2)  # below the top
+        engine = _Engine(lad, [TASpec(0, (0, 0), (a, lad.b), 0, lad)])
+        run = engine._last_run(a1, a2, e1, e2)
+        assert run == _backward_run(lad, a1, a2, e1), (lad.values, a1, a2, e1)
+        x_lo, diagonal, _ = run
+        joined += diagonal and lad.value(x_lo + 1) < a2
+        seen.update(name for name, hit in (("a1 < 0", a1 < 0), ("a2 > f", a2 > high),
+                                           ("e1 = a1", e1 == a1)) if hit)
+        if x_lo == engine._pieces(a1, a2, e1, e2)[-1][0] or e1 - a1 > 6 or e2 - a2 > 6:
+            continue
+        d = rng.randint(0, 2)
+        l = rng.randint(-d, 2)
+        spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
+        engine = _Engine(lad, [spec])
+        if engine._vacuous(l, a1, a2, e1, e2, d):
+            continue
+        truth = _packed(enumerate_arrays(spec), engine.k)
+        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _packed(gf_direct(spec), engine.k), spec
+        checked += 1
+    assert seen == {"a1 < 0", "a2 > f", "e1 = a1"}
+    assert joined >= 20
+    assert checked >= 50
 
 
 def test_star_recursive():

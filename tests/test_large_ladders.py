@@ -225,11 +225,11 @@ def test_recursive_engine_never_calls_direct_sum(monkeypatch):
 
 def test_partitioned_windows_stay_below_eps2(monkeypatch):
     """The engine splits off the first-row columns whose boundary reaches
-    eps_2 + 1 before it partitions a window, so ``_Engine._pieces`` never
-    meets such a column: with ``_pieces`` made to raise on one, the engine
-    still answers the flagship, the cliff ladders (L = 9..14) and the 40
-    large queries."""
-    pieces = _Engine._pieces
+    eps_2 + 1 before it chooses a split point, so ``_Engine._last_run``
+    never meets such a column: with ``_last_run`` made to raise on one,
+    the engine still answers the flagship, the cliff ladders (L = 9..14)
+    and the 40 large queries."""
+    last_run = _Engine._last_run
     calls = 0
 
     def below_eps2(self, a1, a2, e1, e2):
@@ -238,9 +238,9 @@ def test_partitioned_windows_stay_below_eps2(monkeypatch):
         # f is weakly increasing: the window's last column holds its maximum
         if e1 >= a1 and self.ladder.value(e1) >= e2 + 1:
             raise RuntimeError(f"window {(a1, a2, e1, e2)} has a column with f >= eps_2 + 1")
-        return pieces(self, a1, a2, e1, e2)
+        return last_run(self, a1, a2, e1, e2)
 
-    monkeypatch.setattr(_Engine, "_pieces", below_eps2)
+    monkeypatch.setattr(_Engine, "_last_run", below_eps2)
     hs = hilbert_series(flagship_ladder(), flagship_bivector(), "recursive")
     assert list(hs.z_coefficients) == FLAGSHIP_NUMERATOR
     for L in range(9, 15):
