@@ -17,8 +17,9 @@ Two evaluation strategies are provided:
 * ``gf_direct`` -- a single multi-sum over the coarsest partition of
   [alpha_1, eps_1] into intervals of constant boundary value, one pair of
   summation indices per interval, evaluated as a dynamic program over the
-  running entry counts of the two rows in time polynomial in the ladder.
-  It uses no closed form.
+  running entry counts of the two rows in time polynomial in the ladder:
+  two passes per interval, one per row, each keeping only the counts from
+  which the type l can still be reached.  It uses no closed form.
 
 * ``gf_recursive`` -- peel the maximal run of the boundary (horizontal
   or diagonal staircase) that ends at eps_1, and recurse.  Its base cases
@@ -275,16 +276,33 @@ def _direct_sum(ladder: LadderFunction, l, a1, a2, e1, e2, d) -> HalfPolynomial:
     weight is q^(2 e_kappa - l).  One extra top layer counts second-row
     entries at or above g(eps_1): those pair with nothing only while their
     number stays <= d, which matters precisely when eps_2 reaches the
-    boundary, as it always does for the shifted determinant entries.
+    boundary, as it always does for the shifted determinant entries.  A
+    second-row range of negative width is clamped to the empty one,
+    eps_2 = alpha_2 - 1, so that the window [alpha_2, eps_2 + 1] is not
+    inverted.
 
     A summand depends on the earlier blocks only through the running pair
     (e_i, f_i), so the sum runs forward over the blocks on a table mapping
     each pair to its summed weight: at most (eps_1 - alpha_1 + 2) *
-    (eps_2 - alpha_2 + 2) pairs, each extended by (width + 1)(rise + 1)
-    steps per block, instead of one visit per summand.  An empty first row
-    (eps_1 < alpha_1) gives no block, and the top layer alone, with
-    threshold alpha_2, counts the second rows; so no closed form is needed.
+    (eps_2 - alpha_2 + 2) pairs, instead of one visit per summand.  The
+    coupling cut f_{i-1} + df <= e_{i-1} + de + d reads f only before the
+    block's step and e only after it, so a block is two passes: move e by
+    de with weight C(width, de), then f by df with weight C(rise, df) under
+    the cut.  That is (width + 1) + (rise + 1) steps per pair and block, not
+    their product.
+
+    Both passes also drop the pairs that cannot reach the end.  After block
+    i, e can still grow by at most R_e = s_i - s_kappa and f by at most
+    R_f = g(s_i) - alpha_2 (0 after the last block), and only pairs with
+    e_kappa - f_kappa = l are summed.  So a pair whose e - f - l lies
+    outside [-R_e, R_f] after block i, or outside [-R_e, R_f + rise]
+    between its two passes, where f has yet to take the block's rise, adds
+    nothing to the answer.  The cut drops only pairs whose every extension
+    misses e - f = l, so it is exact.  An empty first row (eps_1 < alpha_1)
+    gives no block, and the top layer alone, with threshold alpha_2, counts
+    the second rows; so no closed form is needed.
     """
+    e2 = max(e2, a2 - 1)  # an empty range is empty whatever its width
     g = [min(max(ladder.value(x), a2), e2 + 1) for x in range(a1, e1 + 1)]
     svals = [e1] if g else []
     for x in range(e1 - 1, a1 - 1, -1):
@@ -303,15 +321,26 @@ def _direct_sum(ladder: LadderFunction, l, a1, a2, e1, e2, d) -> HalfPolynomial:
         wf = thr[i - 1] - thr[i]
         cbe = [binomial(we, de) for de in range(we + 1)]
         cbf = [binomial(wf, df) for df in range(wf + 1)]
-        nxt: dict[tuple[int, int], int] = {}
+        # reachable: -R_e <= e - f - l <= R_f, plus this block's rise
+        # while f has not moved yet
+        lo = l - (svals[i] - svals[kappa])
+        hi = l + thr[i - 1] - thr[kappa]
+        moved: dict[tuple[int, int], int] = {}
+        get = moved.get
         for (e, f), weight in states.items():
-            for de, ce in enumerate(cbe):
-                w_de = weight * ce
-                # coupling cut f + df <= e + de + d
-                for df in range(0, min(wf, e + de + d - f) + 1):
-                    key = (e + de, f + df)
-                    nxt[key] = nxt.get(key, 0) + w_de * cbf[df]
-        states = nxt
+            s = e - f
+            for de in range(max(0, lo - s), min(we, hi - s) + 1):
+                key = (e + de, f)
+                moved[key] = get(key, 0) + weight * cbe[de]
+        hi -= wf
+        states = {}
+        get = states.get
+        for (e, f), weight in moved.items():
+            s = e - f
+            # coupling cut f + df <= e + d
+            for df in range(max(0, s - hi), min(wf, s + d, s - lo) + 1):
+                key = (e, f + df)
+                states[key] = get(key, 0) + weight * cbf[df]
     return HalfPolynomial.from_dict(
         {2 * e - l: weight for (e, f), weight in states.items() if e - f == l}
     )

@@ -28,7 +28,7 @@ from laddergf import (
     partition_border,
     validate_ladder,
 )
-from laddergf.genfun import _Engine, _diagonal_terms, _runs, _trivial_terms
+from laddergf.genfun import _Engine, _diagonal_terms, _direct_sum, _runs, _trivial_terms
 from laddergf.polyring import _pack_terms, _unpack
 from helpers import flagship_ladder, random_ladder, random_taspec_wide
 
@@ -255,6 +255,59 @@ def test_methods_match_oracle_on_random_specs():
         truth = enumerate_arrays(spec)
         assert gf_direct(spec) == truth, spec
         assert gf_recursive(spec) == truth, spec
+
+
+def test_direct_on_negative_width_ranges():
+    """Either row's range may have negative width (eps < alpha - 1); it
+    holds no entry, like an empty one.  A second row of negative width once
+    inverted the direct engine's clamp window and lost every array."""
+    lad = validate_ladder(4, 4, (2, 3, 3, 4, 5))
+    spec = TASpec(1, (0, 3), (3, 1), 0, lad)
+    assert gf_direct(spec) == gf_recursive(spec) == enumerate_arrays(spec) == P([0, 4])
+    rng = random.Random(1919)
+    negative = [0, 0]
+    for _ in range(300):
+        lad = random_ladder(rng, amax=6, bmax=6)
+        a, b = lad.a, lad.b
+        d = rng.randint(0, 3)
+        l = rng.randint(-d, 3)
+        a1 = rng.randint(-2, a)
+        e1 = rng.randint(min(a1 - 3, a), a)
+        a2 = rng.randint(0, b + 1)
+        e2 = rng.randint(a2 - 3, b + 2)
+        negative[0] += e1 < a1 - 1
+        negative[1] += e2 < a2 - 1
+        spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
+        truth = enumerate_arrays(spec)
+        assert gf_direct(spec) == truth, spec
+        assert gf_recursive(spec) == truth, spec
+    assert min(negative) >= 50, negative
+
+
+def test_direct_sum_reachability_cut_edges():
+    """The direct multi-sum against enumeration where its reachability cut
+    is tight: the smallest type l = -d and the largest ones a window
+    allows (l = w1 keeps every first-row slot and no second-row entry),
+    an empty first row, a first row starting left of column 0, a second
+    row reaching past the ladder's top, and d up to 3."""
+    rng = random.Random(2019)
+    cases = 0
+    for _ in range(120):
+        lad = random_ladder(rng, amin=2, bmin=2, amax=7, bmax=7)
+        a, b = lad.a, lad.b
+        d = rng.randint(0, 3)
+        a1 = rng.randint(-2, a)
+        e1 = rng.randint(a1 - 1, a)
+        a2 = rng.randint(0, lad.value(a1))
+        e2 = rng.randint(max(a2, b - 1), b + 3)
+        w1 = e1 - a1 + 1
+        for l in {-d, 1 - d, w1 - 1, w1, w1 + 1}:
+            if l + d < 0:
+                continue
+            spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
+            assert _direct_sum(lad, l, a1, a2, e1, e2, d) == enumerate_arrays(spec), spec
+            cases += 1
+    assert cases >= 400, cases
 
 
 def test_recursive_equals_trivial_form_on_trivial_ladders():
