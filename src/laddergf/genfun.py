@@ -53,7 +53,7 @@ Two evaluation strategies are provided:
 Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
 before analysing its shape; values outside that window constrain nothing,
 so the clamp preserves the array set while merging irrelevant pieces.  The
-recursive engine never builds the clamped window: it finds the columns
+recursion never builds the clamped window: it finds the columns
 above eps_2 by bisection and splits them off, and reads the run of the
 clamped boundary that ends at eps_1 from a run index built once per
 engine, in O(1) per sub-problem.
@@ -61,7 +61,7 @@ engine, in O(1) per sub-problem.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from math import comb, inf
 from typing import Iterable, Iterator, Literal
@@ -423,36 +423,34 @@ class _Engine:
     maximal run of g that ends at eps_1.  Then each tail window [j, eps_1]
     with j > x lies on that one run, which the clamp at g(x) leaves as it
     is; a diagonal tail is a closed form or, failing the hypothesis, one
-    peel at its eps_1, and a flat one peels into vacuous terms.  The
-    forward-greedy last piece is a run ending at eps_1 too, and may be
-    shorter.  Where the run fills the window, the spec is a diagonal closed
-    form or is peeled at x = eps_1: a second-row entry at or above f(eps_1)
-    exceeds the boundary at every first-row entry, so only boundary terms
-    remain, with eps_2 = f(eps_1) - 1, vacuous under a flat run and meeting
-    the hypothesis under a diagonal one.  Every left part and boundary term
+    peel at its eps_1, and a flat one peels into vacuous terms.  Where the
+    run fills the window, the spec is a diagonal closed form or is peeled at
+    x = eps_1: a second-row entry at or above f(eps_1) exceeds the boundary
+    at every first-row entry, so only boundary terms remain, with
+    eps_2 = f(eps_1) - 1, vacuous under a flat run and meeting the
+    hypothesis under a diagonal one.  Every left part and boundary term
     has a smaller eps_2 and every tail a larger alpha_1, so the recursion
     ends.  It shares no formula with the direct multi-sum, and
     ``direct == recursive`` checks two independent computations.
 
-    The boundary clamped into [alpha_2, eps_2 + 1] is a function of the
-    numeric parameters alone, so the memo key is just the parameter tuple.
-    ``_last_run`` reads the run of g that ends at eps_1 in O(1) from a run
-    index built once per engine: for each column, the first column of the
-    flat run and of the diagonal run of f that end there.  The clearing
+    The engine keeps the ladder's boundary tuple ``values``, not the
+    ladder.  The boundary clamped into [alpha_2, eps_2 + 1] is a function of
+    the numeric parameters alone, so the memo key is just the parameter
+    tuple.  ``_last_run`` reads the run of g that ends at eps_1 in O(1) from
+    a run index built once per engine: for each column, the first column of
+    the flat run and of the diagonal run of f that end there.  The clearing
     columns are split off first, so no window that ``_eval`` peels reaches
-    eps_2 + 1, and the upper clamp never applies there.  ``_pieces``, the
-    forward-greedy partition of a clamped window, is not on this path.
+    eps_2 + 1, and the upper clamp never applies there.
     """
 
     def __init__(self, ladder: LadderFunction, specs: Iterable[TASpec]):
-        # an equal copy that holds no engine: no ladder -> engine -> ladder
+        # the boundary tuple, not the ladder: no ladder -> engine -> ladder
         # cycle, so refcounting frees the engine with its ladder
-        self.ladder = replace(ladder)
+        self.values = vals = ladder.values
         self.k = max(map(_row_slots, specs)) + 1
         self.memo: dict[tuple, int] = {}
         # the run index: a column starts its own flat (diagonal) run unless
         # f steps into it by 0 (by 1); f is flat left of 0
-        vals = self.ladder.values
         flat, diag = [-inf], [0]
         for x in range(1, len(vals)):
             step = vals[x] - vals[x - 1]
@@ -472,25 +470,15 @@ class _Engine:
         return _unpack(v, self.k)
 
     def _pieces(self, a1, a2, e1, e2) -> list[tuple[int, int, bool, int]]:
-        """``_runs`` of the boundary on columns a1..e1, clamped into
-        [a2, e2 + 1], with a trailing clamped-flat piece merged into a
-        preceding diagonal that clears the clamp level.
-
-        The window is a slice of ``ladder.values``, with f(0) repeated for
-        the columns left of 0.  f is weakly increasing, so the values below
-        a2 form a prefix and those above e2 + 1 a suffix, found by bisection.
-        The recursion reads its split point from ``_last_run`` instead; this
-        is the forward-greedy partition that the tests compare it with.
-        """
-        vals = self.ladder.values
-        if e1 > self.ladder.a:
-            raise ValueError(f"boundary undefined at x={e1} > a={self.ladder.a}")
-        seg = (vals[0],) * (min(e1 + 1, 0) - a1) + vals[max(a1, 0):max(e1 + 1, 0)]
+        """``_runs`` of the boundary on columns a1..e1, clamped column by
+        column into [a2, e2 + 1], with a trailing clamped-flat piece merged
+        into a preceding diagonal that clears the clamp level.  The boundary
+        is f(0) left of column 0 and undefined right of a (ValueError)."""
+        vals = self.values
+        if e1 >= len(vals):
+            raise ValueError(f"boundary undefined at x={e1} > a={len(vals) - 1}")
         top = e2 + 1
-        lo = bisect_left(seg, a2)
-        hi = bisect_right(seg, top, lo)
-        g = (min(a2, top),) * lo + seg[lo:hi] + (top,) * (len(seg) - hi)
-        pieces = _runs(g, a1)
+        pieces = _runs([min(max(vals[max(x, 0)], a2), top) for x in range(a1, e1 + 1)], a1)
         if len(pieces) >= 2:
             x_lo, x_hi, diagonal, level = pieces[-2]
             _, x_end, last_diagonal, last_level = pieces[-1]
@@ -510,7 +498,7 @@ class _Engine:
         top, f(e1) <= e2, as every window the engine peels does; there the
         upper clamp at e2 + 1 changes nothing, so it is not computed.
         """
-        vals = self.ladder.values
+        vals = self.values
         c = max(e1, 0)
         h = vals[c]
         if h <= a2 or e1 == a1:  # flat at max(h, a2) throughout, or one column
@@ -532,7 +520,7 @@ class _Engine:
         kmax = min(max(0, e1 - a1 + 1) - l, max(0, e2 - a2 + 1))
         if kmax <= d:
             return True  # every second row is too short to reach a pair
-        return e2 - d < self.ladder.values[max(a1, 0)]  # a1 <= e1 <= a here
+        return e2 - d < self.values[max(a1, 0)]  # a1 <= e1 <= a here
 
     def eval(self, *key) -> int:
         """The memoized value of ``_eval`` at key = (l, a1, a2, e1, e2, d)."""
@@ -547,38 +535,28 @@ class _Engine:
         # first-row entries in columns t..e1 clear every second-row entry
         # (f(t) >= e2 + 1): they are the top m of the row, in every pair
         # they are in, and splitting them off leaves type l - m, offset d + m
-        t = bisect_left(self.ladder.values, e2 + 1, max(a1, 0), e1 + 1)
+        t = bisect_left(self.values, e2 + 1, max(a1, 0), e1 + 1)
         if t <= e1:
             w = e1 - t + 1
             acc = 0
             for m in range(0, min(w, e2 - a2 + 1 + l) + 1):
                 v = self.eval(l - m, a1, a2, t - 1, e2, d + m)
-                if v:
-                    acc += (v * comb(w, m)) << (self.k * m)
+                acc += (v * comb(w, m)) << (self.k * m)
             return acc
         x, diagonal, level = self._last_run(a1, a2, e1, e2)
         if x < a1:  # one run fills the window
             if diagonal and e1 + level + 1 + d >= e2:
                 return _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, level, d), self.k)
             x = e1  # one flat run, or a failing diagonal: only boundary terms remain
-        fx = max(self.ladder.values[max(x, 0)], a2)  # <= e2 after the split above
-        memo = self.memo
+        fx = max(self.values[max(x, 0)], a2)  # <= e2 after the split above
         acc = 0
         # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
         # start eps_1 + 1 the first row is empty and the d second-row entries
         # in [f(x), eps_2] pair with nothing
         above = binomial(e2 - fx + 1, d) << (self.k * d)
-        for j in range(e1, x, -1):  # the memo first: most lookups here hit
-            key = (-d, j, fx, e1, e2, d)
-            tail = memo.get(key)
-            if tail is None:
-                tail = self.eval(*key)
-            key = (l + d, a1, a2, j - 1, fx - 1, 0)
-            left = memo.get(key)
-            if left is None:
-                left = self.eval(*key)
-            if left:
-                acc += left * (tail - above)
+        for j in range(e1, x, -1):
+            tail = self.eval(-d, j, fx, e1, e2, d)
+            acc += self.eval(l + d, a1, a2, j - 1, fx - 1, 0) * (tail - above)
             above = tail
         for e in range(0, d + 1):
             c = binomial(e2 - fx + 1, d - e)

@@ -119,7 +119,7 @@ def enumerate_path_families(
     ladder: LadderFunction,
     starts: Sequence,
     ends: Sequence,
-    max_candidates: int = 10**7,
+    max_candidates: int = 50_000,
 ) -> HalfPolynomial:
     """Sum of z^(total NE-turns) over nonintersecting path families, as q^(2 NE).
 
@@ -130,17 +130,27 @@ def enumerate_path_families(
     raised otherwise.  Unequally many starts and ends, or none, raise
     ChainViolation; unordered endpoints, and an end that does not dominate
     its start (so no path joins them), are accepted.
+
+    Before enumerating anything, InstanceTooLarge is raised when the
+    candidate families (the product of the per-pair path counts) or the
+    candidate paths (their sum) exceed max_candidates.  Every candidate path
+    is built and tested, about 0.1 ms each, and every admissible one is
+    kept, about 3.5 KB each: one path across a full 10 x 10 box (48,620
+    candidates) took 4.7 s and 178 MiB peak RSS on a 2-vCPU Xeon VM.  The
+    default admits the flagship's longest path (43,758 candidates).
     """
     pts_s = [as_point(p) for p in starts]
     pts_e = [as_point(p) for p in ends]
     _check_pair_count(pts_s, pts_e)
-    total = 1
+    families, paths = 1, 0
     for A, E in zip(pts_s, pts_e):
         dx, dy = E.x - A.x, E.y - A.y
-        total *= comb(dx + dy, dx) if dx >= 0 and dy >= 0 else 0
-        if total > max_candidates:
+        count = comb(dx + dy, dx) if dx >= 0 and dy >= 0 else 0
+        families *= count
+        paths += count
+        if families > max_candidates or paths > max_candidates:
             raise InstanceTooLarge(
-                f"more than {max_candidates} candidate families"
+                f"more than {max_candidates} candidate paths or families"
             )
     per_path: list[list[tuple[frozenset, int]]] = []
     for A, E in zip(pts_s, pts_e):

@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import OddExponentPresent
+from .errors import OddExponentPresent, ValidationError
+from .model import _require_int
 
 
 def binomial(n: int, k: int) -> int:
@@ -299,13 +300,18 @@ class HilbertSeries:
     """A rational series numerator(z) / (1 - z)^denom_exponent.
 
     The numerator is stored as a HalfPolynomial whose nonzero terms all sit
-    at even q-exponents, i.e. a genuine polynomial in z = q^2.
+    at even q-exponents, i.e. a genuine polynomial in z = q^2.  A numerator
+    that is no HalfPolynomial, or an exponent that is no ``int`` (a bool
+    included), raises ValidationError; a negative exponent, ValueError.
     """
 
     numerator: HalfPolynomial
     denom_exponent: int
 
     def __post_init__(self):
+        if not isinstance(self.numerator, HalfPolynomial):
+            raise ValidationError(f"numerator = {self.numerator!r} is not a HalfPolynomial")
+        _require_int(self.denom_exponent, "denom_exponent")
         if self.denom_exponent < 0:
             raise ValueError("denominator exponent must be nonnegative")
         to_z_polynomial(self.numerator)
@@ -333,8 +339,11 @@ def series_expand(series: HilbertSeries, terms: int) -> list[int]:
     coeff(L) = sum_j num_j * c_(L - j) over numerator terms with j <= L,
     where c_L = binomial(L + e - 1, L) is the coefficient of z^L in
     (1 - z)^(-e), built once by c_0 = 1, c_L = c_(L-1) (L - 1 + e) / L
-    (an exact division; for e = 0 it gives 1, 0, 0, ...).
+    (an exact division; for e = 0 it gives 1, 0, 0, ...).  ``terms`` must
+    be an ``int``, a bool excluded (ValidationError), and nonnegative
+    (ValueError).
     """
+    _require_int(terms, "terms")
     if terms < 0:
         raise ValueError("terms must be nonnegative")
     num = series.z_coefficients

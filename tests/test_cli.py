@@ -155,6 +155,21 @@ def test_verify_guard_precedes_enumeration(capsys, tmp_path, monkeypatch):
     assert "guard" in err
 
 
+def test_verify_path_guard_exits_4(capsys, tmp_path, monkeypatch):
+    """One path across a 13 x 13 box has 2.7 million candidates; verify
+    refuses it with exit 4 before the oracle builds any path."""
+
+    def unavailable(A, E):
+        raise RuntimeError("paths were enumerated before the guard was checked")
+
+    monkeypatch.setattr(laddergf.oracle, "_paths_between", unavailable)
+    path = write_instance(tmp_path, a=12, b=12, f=[13] * 13,
+                          starts=[[0, 0]], ends=[[12, 12]])
+    code, _, err = run(capsys, ["verify", "--input", path, "--scope", "pathgf"])
+    assert code == 4
+    assert "guard" in err
+
+
 def test_pathgf_matches_hilbert_numerator(capsys, tmp_path):
     # the minor's own path endpoints must reproduce the series numerator
     hilbert_path = write_instance(tmp_path, "h.json", a=13, b=15, f=FLAGSHIP_F,

@@ -14,6 +14,15 @@ far beyond the brute-force oracle:
   its multiplicity is det[C(m + N - i - j, m - i)], i, j = 1..t-1, its
   a-invariant deg h - dim is -(t - 1) N, and it is Gorenstein, so h is
   palindromic, exactly when m = N.
+* Low degrees for every bivector.  The ideal cogenerated by M = [u | v] is
+  spanned by the minors that are not >= M in the bitableau order, and the
+  standard monomials form a basis, also inside one-sided ladders (DeConcini,
+  Eisenbud and Procesi 1980; Herzog and Trung 1992).  So H(1) = c1, the
+  number of region points (x, y) with y >= u_1 - 1 and x <= a - v_1 + 1,
+  and H(2) = C(c1 + 1, 2) minus the 2-minors whose four corners lie among
+  those points and that are not >= M.  A 2-minor with corners (x1, y1) and
+  (x2, y2), x1 < x2 and y1 < y2, lies in the ladder iff y2 < f(x1), and is
+  not >= M iff n = 1, or y2 < u_2 - 1, or x1 > a - v_2 + 1.
 """
 
 import random
@@ -23,6 +32,7 @@ from math import comb
 import pytest
 
 from laddergf import Bivector, hilbert_series, series_expand, validate_ladder
+from helpers import random_bivector, random_corollary_ladder
 
 
 def _low_degree_check(ladder, n):
@@ -92,3 +102,64 @@ def test_rectangle_identities(m):
 
 def test_rectangle_identities_large():
     _rectangle_check(30, 34, 10)
+
+
+def _standard_low_degrees(ladder, m):
+    """[H(0), H(1), H(2)] of the ring cogenerated by m, counted column by
+    column: the corners x1 < x2 <= x_end of a 2-minor are free, and its
+    rows y0 <= y1 < y2 lie below f(x1), and below u_2 - 1 too where the
+    minor would otherwise be >= m."""
+    a, f, u, v = ladder.a, ladder.values, m.u, m.v
+    y0, x_end = u[0] - 1, a - v[0] + 1
+    c1 = sum(max(0, f[x] - y0) for x in range(x_end + 1))
+    minors = 0
+    for x1 in range(x_end):
+        top = f[x1] if m.n == 1 or x1 > a - v[1] + 1 else min(f[x1], u[1] - 1)
+        minors += comb(max(0, top - y0), 2) * (x_end - x1)
+    return [1, c1, comb(c1 + 1, 2) - minors]
+
+
+def _standard_check(ladder, m):
+    series = hilbert_series(ladder, m)
+    assert series_expand(series, 3) == _standard_low_degrees(ladder, m), (ladder.values, m)
+
+
+def test_standard_low_degrees_small_ladders():
+    """400 seeded bivectors on ladders with a, b <= 8, n up to 4; at least
+    100 of them are not u = v = (1..n)."""
+    rng = random.Random(43)
+    general = 0
+    for _ in range(400):
+        ladder = random_corollary_ladder(rng, 8, 8)
+        m = random_bivector(rng, ladder, nmax=4)
+        _standard_check(ladder, m)
+        general += m.u != m.v or m.u != tuple(range(1, m.n + 1))
+    assert general >= 100
+
+
+# The 26 x 26 ladder of the benchmark's minor_sweep workload
+SWEEP_LADDER = (11, 12, 13, 14, 14, 15, 16, 18, 19, 20, 21, 22, 22, 22, 23, 25) + (27,) * 11
+
+
+def test_standard_low_degrees_sweep_ladder():
+    """60 seeded bivectors, n = 1..9, on the benchmark's sweep ladder."""
+    rng = random.Random(44)
+    ladder = validate_ladder(26, 26, SWEEP_LADDER)
+    for k in range(60):
+        n = k % 9 + 1
+        m = Bivector(sorted(rng.sample(range(1, 12), n)), sorted(rng.sample(range(1, 12), n)))
+        _standard_check(ladder, m)
+
+
+def test_standard_low_degrees_ladders_past_100():
+    """10 seeded ladders with a, b in 100..130: a first column 4-10 high,
+    steps of 0-3 and a top block 4-8 columns wide; n up to 4."""
+    rng = random.Random(45)
+    for _ in range(10):
+        a, b = rng.randint(100, 130), rng.randint(100, 130)
+        top = rng.randint(4, 8)
+        f = [rng.randint(4, 10)]
+        while len(f) < a + 1 - top:
+            f.append(min(b + 1, f[-1] + rng.choice((0, 1, 1, 2, 3))))
+        ladder = validate_ladder(a, b, f + [b + 1] * top)
+        _standard_check(ladder, random_bivector(rng, ladder, nmax=4))

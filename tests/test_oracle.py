@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import laddergf.oracle
 from laddergf import (
     CapExceeded,
     ChainViolation,
@@ -116,6 +117,22 @@ def test_family_guard():
     lad = validate_ladder(8, 8, [9] * 9)
     with pytest.raises(InstanceTooLarge):
         enumerate_path_families(lad, [(0, 0)], [(8, 8)], max_candidates=10)
+
+
+def test_family_guard_bounds_the_paths_of_each_pair(monkeypatch):
+    """The paths of every pair are built and kept even where another pair
+    has none and no family exists, so their sum is bounded too: one path
+    across a 13 x 13 box (2.7 million candidates) is refused before any
+    path is built, by default and behind a pair with no path."""
+
+    def unavailable(A, E):
+        raise RuntimeError("paths were enumerated before the guard was checked")
+
+    monkeypatch.setattr(laddergf.oracle, "_paths_between", unavailable)
+    lad = validate_ladder(12, 12, [13] * 13)
+    for starts, ends in (([(0, 0)], [(12, 12)]), ([(5, 0), (0, 0)], [(4, 12), (12, 12)])):
+        with pytest.raises(InstanceTooLarge):
+            enumerate_path_families(lad, starts, ends)
 
 
 class _NotAnUpperLadder:

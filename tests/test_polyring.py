@@ -9,6 +9,7 @@ from laddergf import (
     HalfPolynomial,
     HilbertSeries,
     OddExponentPresent,
+    ValidationError,
     binomial,
     det_poly_matrix,
     series_expand,
@@ -174,6 +175,31 @@ def test_hilbert_series_type():
         HilbertSeries(P([0, 1]), 2)
     with pytest.raises(ValueError):
         HilbertSeries(P.one(), -1)
+
+
+@pytest.mark.parametrize("exponent", [99.0, 3.0, True, "3"])
+def test_hilbert_series_rejects_a_non_int_exponent(exponent):
+    """A float exponent made ``series_expand`` return inexact floats, and a
+    bool stood for 0 or 1."""
+    with pytest.raises(ValidationError):
+        HilbertSeries(P([1, 0, 1]), exponent)
+
+
+@pytest.mark.parametrize("numerator", [[1, 0, 1], (1, 0, 1), None, 1])
+def test_hilbert_series_rejects_a_numerator_that_is_no_half_polynomial(numerator):
+    with pytest.raises(ValidationError):
+        HilbertSeries(numerator, 3)
+
+
+@pytest.mark.parametrize("terms", [2.0, True, False, "2", None])
+def test_series_expand_rejects_a_non_int_term_count(terms):
+    with pytest.raises(ValidationError):
+        series_expand(HilbertSeries(P([1, 0, 1]), 3), terms)
+
+
+def test_series_expand_rejects_a_negative_term_count():
+    with pytest.raises(ValueError):
+        series_expand(HilbertSeries(P([1, 0, 1]), 3), -1)
 
 
 def test_series_expand_hypersurface():

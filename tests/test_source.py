@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import doctest
 from pathlib import Path
 
 import laddergf
@@ -27,3 +28,10 @@ def test_pipeline_determinant_does_not_use_the_generic_one():
              or (isinstance(node, ast.Attribute) and node.attr == "det_poly_matrix")
              or (isinstance(node, ast.alias) and node.name == "det_poly_matrix")]
     assert not found, found
+
+
+def test_package_docstring_example_runs():
+    """The ``>>>`` example in ``laddergf.__doc__`` runs and holds: tier-1
+    collects only ``tests/``, so no doctest collection reaches it."""
+    failed, attempted = doctest.testmod(laddergf, verbose=False)
+    assert attempted >= 1 and failed == 0, (failed, attempted)
