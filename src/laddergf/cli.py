@@ -51,8 +51,6 @@ from .model import (
 )
 from .polyring import HalfPolynomial, HilbertSeries, _format_poly, series_expand
 
-ORACLE_ARRAY_GUARD = 2_000_000   # candidate row pairs per matrix entry
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -173,9 +171,8 @@ def cmd_verify(instance: ProblemInstance, args) -> dict:
     cfg = _endpoint_config(instance)
     if args.scope in ("tagf", "all"):
         specs = [spec for row in matrix_specs(instance.ladder, cfg) for spec in row]
-        # the oracle tries every unrestricted array: the trivial form at q = 1
         for i, spec in enumerate(specs):
-            if sum(genfun.gf_trivial(spec.l, spec.start, spec.end).coeffs) > ORACLE_ARRAY_GUARD:
+            if oracle.array_candidates(spec) > oracle.ORACLE_ARRAY_GUARD:
                 raise InstanceTooLarge(
                     f"matrix entry {i}: too many candidate arrays for the oracle"
                 )

@@ -26,22 +26,10 @@ Two evaluation strategies are provided:
   are two closed binomial forms: the unrestricted form, where the coupling
   cannot bind, and the reflection form for one diagonal run.  A whole
   diagonal run costs it one closed form instead of one interval per
-  column.  It keeps one memo per ladder object, shared by every query on it
-  and living as long as that ladder: a pinned-start set (first row starting
-  exactly at alpha_1) is the memoized difference of the sets starting at
-  alpha_1 and alpha_1 + 1.  A flat run, and a diagonal run that fails the
-  reflection hypothesis, that fill [alpha_1, eps_1] are peeled at x = eps_1,
-  because second-row entries at or above f(eps_1) can only be the at most d
-  unpaired top ones.  First-row entries in the columns where the boundary
-  clears eps_2 (f >= eps_2 + 1) are the mirror case: they clear every
-  second-row entry, so they are split off in one step, m of them at a time,
-  leaving type l - m and offset d + m on the columns to their left.  So the
-  two engines share no formula.  It computes on packed integers, each value
-  its generating function at q = 2^k: every coefficient counts arrays
-  whose rows are subsets of ranges holding W slots in all, so it is a
-  nonnegative integer at most 2^W, and with k = W + 1 the base-2^k digits
-  are the coefficients, never carrying or borrowing through the engine's
-  sums, products and set differences.
+  column.  It computes on packed integers, in one memo per ladder object,
+  shared by every query on it and living as long as that ladder.
+  ``_Engine`` states the decomposition, why it is exact, and why the
+  packed arithmetic never carries; the two engines share no formula.
   Each closed form is written once, as a generator of its terms; the
   public function builds a HalfPolynomial from it, and the engine shifts
   the same terms straight into its packed integer.  One helper,
@@ -50,13 +38,9 @@ Two evaluation strategies are provided:
   first-row start alpha_1 minus the same value at alpha_1 + 1, the
   difference the engine's memo takes.
 
-Both strategies clamp the boundary into the window [alpha_2, eps_2 + 1]
-before analysing its shape; values outside that window constrain nothing,
-so the clamp preserves the array set while merging irrelevant pieces.  The
-recursion never builds the clamped window: it finds the columns
-above eps_2 by bisection and splits them off, and reads the run of the
-clamped boundary that ends at eps_1 from a run index built once per
-engine, in O(1) per sub-problem.
+Both strategies read the boundary clamped into the window
+[alpha_2, eps_2 + 1]; values outside that window constrain nothing, so the
+clamp preserves the array set while merging irrelevant pieces.
 """
 
 from __future__ import annotations
@@ -586,28 +570,11 @@ def _engine_for(ladder: LadderFunction, specs: list[TASpec]) -> _Engine:
 
 
 def gf_recursive(spec: TASpec) -> HalfPolynomial:
-    """Evaluate the generating function by border peeling.
-
-    First splits off, in one step, the first-row entries in the columns
-    where the boundary clears eps_2: they pair with every second-row entry
-    freely, so m of them leave type l - m and offset d + m on the columns
-    to their left, with weight C(width, m) q^m.  Then splits at x, the
-    column before the maximal run of the boundary g (clamped below at
-    alpha_2) that ends at eps_1: arrays decompose by the first second-row
-    entry reaching g(x) into a prefix below g(x) paired with a pinned-start
-    tail right of x, plus the boundary terms in which at most d entries sit
-    at or above g(x) unpaired.  That entry pairs with no first-row entry at
-    or left of x, since g is weakly increasing, so the decomposition is
-    exact at every column x, a run start or not; at the start of the run,
-    every tail lies on the run alone and is a base case after at most one
-    more peel.  The tail is the memoized difference of the tails starting
-    at j and j + 1.  A flat run, and a diagonal run that fails the
-    reflection hypothesis, that fill the window are peeled at x = eps_1:
-    second-row entries at or above f(eps_1) can only be the at most d
-    unpaired top ones, so only boundary terms remain.  The base cases are
-    ``gf_trivial`` where the coupling cannot bind and ``gf_diagonal`` for
-    one diagonal run; the direct multi-sum is never called.
-    """
+    """Evaluate the generating function by border peeling, from the
+    ladder's engine; ``_Engine`` states the decomposition and why it is
+    exact.  The base cases are ``gf_trivial`` where the coupling cannot
+    bind and ``gf_diagonal`` for one diagonal run; the direct multi-sum is
+    never called."""
     _require_pairing(spec.l, spec.d)
     return _engine_for(spec.ladder, [spec]).gf(spec)
 

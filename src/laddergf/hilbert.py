@@ -80,9 +80,7 @@ class GFMatrix:
         Karatsuba products and quadratic divisions make that more than
         halve their cost.  ``det_poly_matrix`` sizes its single width by
         Hadamard's bound, which holds for any signed matrix, and that is
-        wider than K: on the minors u = v = (1..n) of the 26 x 26 benchmark
-        ladder, 145 against 124 bits at n = 3, 402 against 188 at n = 9 and
-        475 against 154 at n = 11.
+        wider than K (README gives measured widths).
 
         The bound holds only by the theorem.  A matrix that breaks it, such
         as a hand-built one, raises MismatchFound when E or O is negative

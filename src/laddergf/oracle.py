@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from .errors import CapExceeded, InstanceTooLarge, InvalidLatticePath, MismatchFound
 from .genfun import TASpec
 from .model import LadderFunction, LatticePoint, _as_tuple, _check_pair_count, as_point
-from .polyring import HalfPolynomial
+from .polyring import HalfPolynomial, binomial
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,30 @@ def ne_turns(path: LatticePath) -> list[LatticePoint]:
     return turns
 
 
+ORACLE_ARRAY_GUARD = 2_000_000   # candidate row pairs per spec
+
+
+def array_candidates(spec: TASpec) -> int:
+    """The number of row pairs ``enumerate_arrays`` tries for the spec.
+
+    It tries every pair of a (k + l)-subset of the w1 first-row slots and a
+    k-subset of the w2 second-row slots, over all k; by Vandermonde's
+    identity that is C(w1 + w2, w2 + l), with empty ranges counting 0
+    slots.
+    """
+    w1 = max(0, spec.end.x - spec.start.x + 1)
+    w2 = max(0, spec.end.y - spec.start.y + 1)
+    return binomial(w1 + w2, w2 + spec.l)
+
+
 def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
     """Sum of q^|T| over every two-rowed array admitted by the spec.
 
     Generates all strictly increasing row pairs within the bounds and keeps
     those satisfying b_s < f(a_{s+d}) wherever both entries exist.  Row
     lengths are k + l and k; raises CapExceeded when the largest feasible k
-    exceeds size_cap.
+    exceeds size_cap, and InstanceTooLarge, before building any row, when
+    ``array_candidates`` exceeds ORACLE_ARRAY_GUARD.
     """
     lad, l, d = spec.ladder, spec.l, spec.d
     a1, a2 = spec.start
@@ -84,6 +101,11 @@ def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
     kmax = min(max(0, w1) - l, max(0, w2))
     if kmax > size_cap:
         raise CapExceeded(f"maximum second-row length {kmax} exceeds cap {size_cap}")
+    candidates = array_candidates(spec)
+    if candidates > ORACLE_ARRAY_GUARD:
+        raise InstanceTooLarge(
+            f"{candidates} candidate arrays exceed the guard of {ORACLE_ARRAY_GUARD}"
+        )
     terms: dict[int, int] = {}
     for k in range(kmin, kmax + 1):
         nfirst = k + l

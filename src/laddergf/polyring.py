@@ -8,12 +8,7 @@ on integers that pack whole polynomials (Kronecker substitution), in O(n^3)
 integer products.  The packing width must exceed every coefficient of the
 result.  ``det_poly_matrix`` takes it from Hadamard's bound, which holds for
 any signed matrix; the pipeline determinant (``GFMatrix.determinant``) takes
-it from the number D of path families, since by the path-family theorem its
-coefficients are nonnegative and sum to D.  The pipeline packs at both
-z = 2^b and z = -2^b with b = ceil(K / 2), K the bit length of D: the sum
-and the difference of the two determinants give its even and odd parts
-at z^2 = 4^b, whose base-4^b digits are its coefficients, from two
-eliminations on integers half as long as one packing at 2^K needs.
+it from the number D of path families, and describes its packing there.
 
 This module owns that base-2^k digit format: ``_pack`` evaluates a
 polynomial at 2^k, ``_pack_terms`` packs (exponent, coefficient) terms
@@ -52,24 +47,24 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+@dataclass(frozen=True)
 class HalfPolynomial:
     """Dense polynomial in q with arbitrary-precision integer coefficients.
 
     ``coeffs[k]`` is the coefficient of q^k = z^(k/2).  The representation is
-    canonical: no trailing zeros, and the zero polynomial is the empty tuple.
-    Instances are immutable and hashable.
+    canonical: no trailing zeros, and the zero polynomial is the empty tuple;
+    the constructor takes any iterable of ints and trims it to that form.
+    Instances are immutable and hashable, and they pickle and copy.
     """
 
-    __slots__ = ("_coeffs",)
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfPolynomial is immutable")
+    def __post_init__(self):
+        cs = tuple(self.coeffs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", cs[:n])
 
     @classmethod
     def zero(cls) -> "HalfPolynomial":
@@ -98,44 +93,32 @@ class HalfPolynomial:
         return cls(cs)
 
     @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
     def degree(self) -> int:
         """Degree in q; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.coeffs
 
     def coefficient(self, k: int) -> int:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
         return 0
 
     def exponents(self) -> Iterator[int]:
         """Exponents with nonzero coefficient, ascending."""
-        return (k for k, c in enumerate(self._coeffs) if c)
+        return (k for k, c in enumerate(self.coeffs) if c)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HalfPolynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return bool(self.coeffs)
 
     def __neg__(self) -> "HalfPolynomial":
-        return HalfPolynomial(-c for c in self._coeffs)
+        return HalfPolynomial(-c for c in self.coeffs)
 
     def __add__(self, other: "HalfPolynomial") -> "HalfPolynomial":
         if not isinstance(other, HalfPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -151,7 +134,7 @@ class HalfPolynomial:
     def __mul__(self, other):
         if not isinstance(other, HalfPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coeffs, other.coeffs
         if not a or not b:
             return HalfPolynomial()
         out = [0] * (len(a) + len(b) - 1)
@@ -162,11 +145,8 @@ class HalfPolynomial:
                         out[i + j] += ca * cb
         return HalfPolynomial(out)
 
-    def __repr__(self) -> str:
-        return f"HalfPolynomial({list(self._coeffs)})"
-
     def __str__(self) -> str:
-        return _format_poly(self._coeffs, "q")
+        return _format_poly(self.coeffs, "q")
 
 
 def _format_poly(coeffs: Sequence[int], var: str) -> str:

@@ -7,7 +7,7 @@ import pytest
 import laddergf.cli
 import laddergf.genfun
 import laddergf.oracle
-from laddergf import HalfPolynomial, HilbertSeries
+from laddergf import HalfPolynomial, HilbertSeries, LadderError
 from laddergf.cli import main, render_z_poly
 from helpers import FLAGSHIP_F, FLAGSHIP_NUMERATOR, FLAGSHIP_U, FLAGSHIP_V
 
@@ -50,6 +50,20 @@ def test_hilbert_pretty(capsys, hypersurface):
     code, out, _ = run(capsys, ["hilbert", "--input", hypersurface, "--format", "pretty"])
     assert code == 0
     assert out.splitlines()[0] == "(1 + z) / (1 - z)^3"
+    code, out, _ = run(capsys, ["hilbert", "--input", hypersurface, "--format", "pretty",
+                                "--series-terms", "4"])
+    assert code == 0
+    assert out.splitlines() == ["(1 + z) / (1 - z)^3", "hilbert function: 1, 4, 9, 16"]
+
+
+@pytest.mark.parametrize("command, last_line", [
+    ("verify", "verify [all]: ok"),
+    ("bench", "results match: True"),
+])
+def test_pretty_verify_and_bench(capsys, small_instance, command, last_line):
+    code, out, err = run(capsys, [command, "--input", small_instance, "--format", "pretty"])
+    assert code == 0, err
+    assert out.endswith("\n") and out.splitlines()[-1] == last_line
 
 
 def test_hilbert_flagship(capsys, tmp_path):
@@ -101,6 +115,21 @@ def test_pathgf_chain_violation_exits_2(capsys, tmp_path):
 def test_pathgf_without_endpoints_exits_2(capsys, hypersurface):
     code, _, err = run(capsys, ["pathgf", "--input", hypersurface])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, instance, message", [
+    ("hilbert", {"a": 1, "b": 1, "u": [1], "v": [1]}, "missing required key 'f'"),
+    ("hilbert", {"a": 1, "b": 1, "f": [2, 2], "u": [1]}, "provide both 'u' and 'v'"),
+    ("hilbert", {"a": 1, "b": 1, "f": [2, 2], "starts": [[0, 0]], "ends": [[1, 1]]},
+     "no 'u'/'v' bivector"),
+    ("verify", {"a": 1, "b": 1, "f": [2, 2]}, "neither 'starts'/'ends' nor 'u'/'v'"),
+    ("bench", {"a": 1, "b": 1, "f": [2, 2]}, "neither 'starts'/'ends' nor 'u'/'v'"),
+], ids=["missing-key", "u-without-v", "hilbert-without-minor", "verify-without-either",
+        "bench-without-either"])
+def test_incomplete_instance_exits_2(capsys, tmp_path, command, instance, message):
+    code, _, err = run(capsys, [command, "--input", write_instance(tmp_path, **instance)])
+    assert code == 2
+    assert "validation error" in err and message in err
 
 
 def test_verify_small_instance(capsys, small_instance):
@@ -319,3 +348,16 @@ def test_bench_times_explicit_endpoints(capsys, small_instance, monkeypatch):
     code, out, err = run(capsys, ["bench", "--input", small_instance])
     assert code == 0, err
     assert json.loads(out)["results_match"] is True
+
+
+def test_untyped_library_error_exits_1(capsys, hypersurface, monkeypatch):
+    """A LadderError that is no validation, mismatch or guard error is a bug
+    in the library, reported as an internal error."""
+
+    def broken(*args):
+        raise LadderError("an invariant broke")
+
+    monkeypatch.setattr(laddergf.cli, "hilbert_series", broken)
+    code, out, err = run(capsys, ["hilbert", "--input", hypersurface])
+    assert code == 1 and out == ""
+    assert "internal error: an invariant broke" in err

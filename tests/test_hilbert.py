@@ -161,22 +161,26 @@ def test_determinant_counts_families():
 
 
 # Matrices that pass the shape and parity checks but count no path
-# families: (1, q; q, 1) has determinant 1 - q^2, D = 0 and a negative
-# value at z = 2; the 1 x 1 matrix -1 + 3 q^2 has D = 2 and a positive
-# value at z = 4 whose base-4 digits sum to 8; the 1 x 1 matrix
-# 2 - q^2 + q^4 has D = 2, its only negative coefficient at an odd power
-# of z, and a positive value at z = 4 whose base-4 digits sum to 5.
+# families, each with the part of the message that names the check it
+# fails.  Each determinant P(z) = E(z^2) + z O(z^2) is read at b = 1:
+# (1, q; q, 1) has P = z - z^2 before the division by z, D = 0 and
+# E(4) = -4; the 1 x 1 matrix -1 + 3 z has D = 2 and E(4) = -1; the 1 x 1
+# matrix 2 - z + z^2 has D = 2 and O(4) = -1; the 1 x 1 matrix -1 + z^2
+# has D = 0 and E(4) = 3, O(4) = 0, whose base-4 digits sum to 3.
 NOT_FAMILY_COUNTS = {
-    "negative": GFMatrix(2, ((P.one(), P([0, 1])), (P([0, 1]), P.one()))),
-    "digit_sum": GFMatrix(1, ((P([-1, 0, 3]),),)),
-    "odd_negative": GFMatrix(1, ((P([2, 0, -1, 0, 1]),),)),
+    "negative": (GFMatrix(2, ((P.one(), P([0, 1])), (P([0, 1]), P.one()))),
+                 "even part"),
+    "digit_sum": (GFMatrix(1, ((P([-1, 0, 3]),),)), "even part"),
+    "odd_negative": (GFMatrix(1, ((P([2, 0, -1, 0, 1]),),)), "odd part"),
+    "nonnegative_parts": (GFMatrix(1, ((P([-1, 0, 0, 0, 1]),),)), "sum to 3"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NOT_FAMILY_COUNTS))
 def test_determinant_rejects_matrix_counting_no_families(name):
-    with pytest.raises(MismatchFound):
-        NOT_FAMILY_COUNTS[name].determinant()
+    matrix, message = NOT_FAMILY_COUNTS[name]
+    with pytest.raises(MismatchFound, match=message):
+        matrix.determinant()
 
 
 def test_determinant_guard_survives_optimize():
@@ -434,3 +438,19 @@ def test_queried_ladder_pickles_and_copies_without_its_engine():
     assert pickle.loads(pickle.dumps(queried)) == queried
     for clone in (copy.copy(queried), copy.deepcopy(queried)):
         assert clone == queried and not hasattr(clone, "_engine")
+
+
+def test_results_pickle_and_copy():
+    """A polynomial, the flagship series and a matrix of entries round-trip
+    through pickle, copy.copy and copy.deepcopy equal to the original, so a
+    result can cross a process pool or be copied."""
+    lad, m = flagship_ladder(), flagship_bivector()
+    results = (
+        P([1, 0, 4, 0, 1]),
+        hilbert_series(lad, m),
+        build_gf_matrix(lad, endpoints_from_bivector(lad, m)),
+    )
+    for result in results:
+        for clone in (pickle.loads(pickle.dumps(result)),
+                      copy.copy(result), copy.deepcopy(result)):
+            assert type(clone) is type(result) and clone == result, result

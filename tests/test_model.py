@@ -47,6 +47,7 @@ def test_validate_ladder_minimal():
     assert lad.value(0) == 1
     assert lad.contains((0, 0))
     assert not lad.contains((0, 1))
+    assert not lad.contains((1, 0))  # right of a
 
 
 def test_validate_ladder_rejects_decrease():
@@ -63,6 +64,10 @@ def test_validate_ladder_rejects_out_of_range():
         validate_ladder(1, 1, [0, 1])
     with pytest.raises(ValueOutOfRange):
         validate_ladder(2, 1, [1, 2])  # wrong length
+    with pytest.raises(ValueOutOfRange):
+        validate_ladder(-1, 1, [])
+    with pytest.raises(ValueOutOfRange):
+        validate_ladder(1, -1, [1, 1])
 
 
 def test_flat_extension():
@@ -108,6 +113,11 @@ def test_mask_rejects_hole():
 def test_mask_rejects_empty_column_and_decrease():
     with pytest.raises(NotAnUpperLadder):
         ladder_from_mask([[False], [False]])
+    for empty in ([], [[]]):
+        with pytest.raises(NotAnUpperLadder):
+            ladder_from_mask(empty)
+    with pytest.raises(NotAnUpperLadder):
+        ladder_from_mask([[True, True], [True]])  # ragged
     # column heights 2 then 1: lower-left corner, not an upper ladder
     with pytest.raises(NotAnUpperLadder):
         ladder_from_mask([[True, False], [True, True]])
@@ -153,6 +163,10 @@ def test_endpoints_membership_conditions():
     lad = validate_ladder(2, 2, [1, 2, 3])
     with pytest.raises(EndpointOutsideLadder):
         endpoints_from_bivector(lad, Bivector((1,), (2,)))
+    # v_n must not exceed a + 1
+    with pytest.raises(EndpointOutsideLadder) as err:
+        endpoints_from_bivector(lad, Bivector((1,), (4,)))
+    assert "v_n" in str(err.value)
 
 
 def test_general_endpoints_trivial_pair():

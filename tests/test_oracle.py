@@ -1,6 +1,7 @@
 """The brute-force enumerators, checked against hand listings and each other."""
 
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from laddergf import (
     ne_turns,
     validate_ladder,
 )
+from laddergf.oracle import array_candidates
 from helpers import random_endpoints, random_ladder
 
 P = HalfPolynomial
@@ -70,6 +72,29 @@ def test_enumerate_arrays_cap():
     spec = TASpec(0, (0, 0), (8, 8), 0, lad)
     with pytest.raises(CapExceeded):
         enumerate_arrays(spec, size_cap=4)
+
+
+def test_enumerate_arrays_guard_raises_before_enumerating():
+    """C(80, 40), about 1.1e23, candidate arrays pass the row-length cap;
+    the guard refuses them at once instead of running without end."""
+    lad = validate_ladder(40, 40, [41] * 41)
+    spec = TASpec(0, (1, 0), (40, 39), 0, lad)
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLarge):
+        enumerate_arrays(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_array_candidates_is_the_unrestricted_count():
+    """The oracle's candidate count is the unrestricted form at q = 1, for
+    every type and for empty and inverted ranges."""
+    rng = random.Random(21)
+    lad = validate_ladder(9, 9, [10] * 10)
+    for _ in range(2000):
+        a1, a2, e1, e2 = (rng.randint(-2, 9) for _ in range(4))
+        l = rng.randint(-5, 5)
+        spec = TASpec(l, (a1, a2), (e1, e2), rng.randint(0, 2), lad)
+        assert array_candidates(spec) == sum(gf_trivial(l, (a1, a2), (e1, e2)).coeffs), spec
 
 
 def test_enumerate_arrays_matches_trivial_form():

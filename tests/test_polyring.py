@@ -28,6 +28,14 @@ def test_canonical_form():
     assert P.monomial(3, 5) == P([0, 0, 0, 5])
 
 
+def test_polynomials_are_immutable():
+    p = P([1, 2])
+    for name in ("coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (3,))
+    assert p.coeffs == (1, 2)
+
+
 def test_poly_add_examples():
     assert P([1, 0, 1]) + P([0, 0, 1]) == P([1, 0, 2])
     p = P([3, 1, 4])
