@@ -217,14 +217,13 @@ def _check_diagonal_pre(l, alpha, eps, D, d):
 def _diagonal_terms(l: int, a1: int, a2: int, e1: int, e2: int, D: int,
                     d: int) -> Iterator[tuple[int, int]]:
     """The nonzero terms (q-exponent, coefficient) of ``gf_diagonal``,
-    ascending, for parameters that meet its preconditions."""
-    w1, w2 = max(0, e1 - a1 + 1), max(0, e2 - a2 + 1)
-    for k in range(max(0, -l), min(w1 - l, w2) + 1):
-        c = comb(w1, k + l) * comb(w2, k) - binomial(
-            e1 - a2 + D + 1, k - d - 1
-        ) * binomial(e2 - a1 - D + 1, k + l + d + 1)
+    ascending, for parameters that meet its preconditions: each unrestricted
+    term minus the reflected (bad) arrays with k second-row entries."""
+    for j, c in _trivial_terms(l, a1, a2, e1, e2):
+        k = (j - l) // 2
+        c -= binomial(e1 - a2 + D + 1, k - d - 1) * binomial(e2 - a1 - D + 1, k + l + d + 1)
         if c:
-            yield 2 * k + l, c
+            yield j, c
 
 
 def gf_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
@@ -500,7 +499,10 @@ class _Engine:
         return max(s, a1) - 1, True, h - e1 - 1
 
     def _vacuous(self, l, a1, a2, e1, e2, d) -> bool:
-        """Can the coupling never bind?  (Sufficient check, not necessary.)"""
+        """Can the coupling never bind?  Sufficient, not necessary, but both
+        clauses end the recursion, as a peel at fx > eps_2 asks for its own
+        key: the first takes an empty second row (fx >= alpha_2 > eps_2), the
+        second a window left of column 0, unseen by the split, with f(0) > eps_2."""
         kmax = min(max(0, e1 - a1 + 1) - l, max(0, e2 - a2 + 1))
         if kmax <= d:
             return True  # every second row is too short to reach a pair
@@ -532,7 +534,8 @@ class _Engine:
             if diagonal and e1 + level + 1 + d >= e2:
                 return _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, level, d), self.k)
             x = e1  # one flat run, or a failing diagonal: only boundary terms remain
-        fx = max(self.values[max(x, 0)], a2)  # <= e2 after the split above
+        # by the split above, or by _vacuous where the split cannot see
+        fx = max(self.values[max(x, 0)], a2)  # <= e2, so the recursion ends
         acc = 0
         # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
         # start eps_1 + 1 the first row is empty and the d second-row entries

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MismatchFound, OddExponentPresent
+from .errors import MismatchFound, OddExponentPresent, ValidationError
 from .genfun import TASpec, _engine_for, gf_direct
 from .model import (
     Bivector,
     EndpointConfig,
     LadderFunction,
+    _require_int,
     endpoints_from_bivector,
     validate_general_endpoints,
 )
@@ -38,14 +39,17 @@ class GFMatrix:
 
     Entry (s, t) carries only q-exponents congruent to t - s mod 2, so every
     expansion term of the determinant has even total degree.  The constructor
-    checks the shape (ValueError unless n x n) and the parity
-    (OddExponentPresent, naming the 1-based entry).
+    checks the types (ValidationError), the shape (ValueError unless n x n)
+    and the parity (OddExponentPresent, naming the 1-based entry).
     """
 
     n: int
     entries: tuple[tuple[HalfPolynomial, ...], ...]
 
     def __post_init__(self):
+        _require_int(self.n, "n")
+        if not all(isinstance(e, HalfPolynomial) for row in self.entries for e in row):
+            raise ValidationError("every GFMatrix entry must be a HalfPolynomial")
         if self.n < 1 or len(self.entries) != self.n or any(
                 len(r) != self.n for r in self.entries):
             raise ValueError(f"GFMatrix entries must form a {self.n} x {self.n} grid, n >= 1")

@@ -2,7 +2,9 @@
 
 Everything in this module favours simplicity over speed: it exists to check
 the closed forms and the determinant pipeline on desk-size instances, not to
-compute anything large.  Single-threaded and deterministic by design.
+compute anything large.  It checks the coupling and the pairwise
+disjointness of path families as their definitions state them.
+Single-threaded and deterministic by design.
 """
 
 from __future__ import annotations
@@ -96,9 +98,7 @@ def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
     lad, l, d = spec.ladder, spec.l, spec.d
     a1, a2 = spec.start
     e1, e2 = spec.end
-    w1, w2 = e1 - a1 + 1, e2 - a2 + 1
-    kmin = max(0, -l)
-    kmax = min(max(0, w1) - l, max(0, w2))
+    kmax = min(max(0, e1 - a1 + 1) - l, max(0, e2 - a2 + 1))
     if kmax > size_cap:
         raise CapExceeded(f"maximum second-row length {kmax} exceeds cap {size_cap}")
     candidates = array_candidates(spec)
@@ -107,20 +107,15 @@ def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
             f"{candidates} candidate arrays exceed the guard of {ORACLE_ARRAY_GUARD}"
         )
     terms: dict[int, int] = {}
-    for k in range(kmin, kmax + 1):
-        nfirst = k + l
-        count = 0
-        for first in itertools.combinations(range(a1, e1 + 1), nfirst):
-            for second in itertools.combinations(range(a2, e2 + 1), k):
-                # entry a_j sits at first[j + l - 1] for j in [-l+1, k]
-                ok = True
-                for s in range(1, k + 1):
-                    j = s + d
-                    if -l + 1 <= j <= k and second[s - 1] >= lad.value(first[j + l - 1]):
-                        ok = False
-                        break
-                if ok:
-                    count += 1
+    for k in range(max(0, -l), kmax + 1):
+        # b_s = second[s - 1] pairs with a_{s+d} = first[s + d + l - 1]
+        # wherever both entries exist: 1 <= s <= k and -l + 1 <= s + d <= k
+        pairs = [(s - 1, s + d + l - 1) for s in range(1, k + 1) if -l + 1 <= s + d <= k]
+        count = sum(
+            all(second[i] < lad.value(first[j]) for i, j in pairs)
+            for first in itertools.combinations(range(a1, e1 + 1), k + l)
+            for second in itertools.combinations(range(a2, e2 + 1), k)
+        )
         if count:
             terms[2 * k + l] = count
     return HalfPolynomial.from_dict(terms)
@@ -178,28 +173,20 @@ def enumerate_path_families(
     for A, E in zip(pts_s, pts_e):
         admissible = []
         for path in _paths_between(A, E):
-            turns = ne_turns(path)
+            turns, points = ne_turns(path), path.points()
             turns_inside = all(ladder.contains(t) for t in turns)
-            path_inside = all(ladder.contains(p) for p in path.points())
+            path_inside = all(ladder.contains(p) for p in points)
             if turns_inside != path_inside:
                 raise MismatchFound(
                     f"containment mismatch for the path from {A} to {E}: on an "
                     "upper ladder a path lies inside exactly when its NE-turns do"
                 )
             if turns_inside:
-                admissible.append((frozenset(path.points()), len(turns)))
+                admissible.append((frozenset(points), len(turns)))
         per_path.append(admissible)
     terms: dict[int, int] = {}
     for combo in itertools.product(*per_path):
-        disjoint = True
-        for i in range(len(combo)):
-            for j in range(i + 1, len(combo)):
-                if combo[i][0] & combo[j][0]:
-                    disjoint = False
-                    break
-            if not disjoint:
-                break
-        if disjoint:
-            exp = 2 * sum(c[1] for c in combo)
+        if all(p.isdisjoint(r) for (p, _), (r, _) in itertools.combinations(combo, 2)):
+            exp = 2 * sum(turns for _, turns in combo)
             terms[exp] = terms.get(exp, 0) + 1
     return HalfPolynomial.from_dict(terms)

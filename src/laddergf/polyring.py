@@ -53,7 +53,8 @@ class HalfPolynomial:
 
     ``coeffs[k]`` is the coefficient of q^k = z^(k/2).  The representation is
     canonical: no trailing zeros, and the zero polynomial is the empty tuple;
-    the constructor takes any iterable of ints and trims it to that form.
+    the constructor takes any iterable of ints and trims it to that form;
+    any other coefficient, a bool included, raises ValidationError.
     Instances are immutable and hashable, and they pickle and copy.
     """
 
@@ -61,6 +62,9 @@ class HalfPolynomial:
 
     def __post_init__(self):
         cs = tuple(self.coeffs)
+        if not set(map(type, cs)) <= {int}:
+            for i, c in enumerate(cs):
+                _require_int(c, f"coefficient {i}", index=i)
         n = len(cs)
         while n and cs[n - 1] == 0:
             n -= 1

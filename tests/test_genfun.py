@@ -484,6 +484,18 @@ def test_engine_splits_off_columns_clearing_eps2():
     assert seen == {"a1 < 0", "l = -d", "d = 3", "t = a1 + 1"}
 
 
+def test_vacuous_ends_the_recursion_left_of_column_0():
+    """A window left of column 0 whose boundary f(0) = 1 exceeds eps_2 = 0:
+    the clearing split bisects from column 0 and sees no column, and a peel
+    at eps_1 would ask for the same key again.  ``_Engine._vacuous``'s second
+    clause returns the unrestricted form instead: the empty array and
+    a_1 = -1 over b_1 = 0."""
+    lad = validate_ladder(5, 8, (1, 2, 3, 4, 7, 9))
+    spec = TASpec(0, (-1, 0), (-1, 0), 0, lad)
+    engine = _Engine(lad, [spec])
+    assert engine.gf(spec) == enumerate_arrays(spec) == P([1, 0, 1])
+
+
 def test_sliced_boundary_matches_per_column_clamp():
     """``_Engine._pieces`` equals its definition: ``_runs`` of the boundary
     clamped column by column, with the trailing merge.  Seeded boundaries

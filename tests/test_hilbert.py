@@ -19,6 +19,7 @@ from laddergf import (
     MismatchFound,
     OddExponentPresent,
     TASpec,
+    ValidationError,
     build_gf_matrix,
     endpoints_from_bivector,
     enumerate_arrays,
@@ -64,6 +65,19 @@ def test_matrix_rejects_bad_shape():
         GFMatrix(2, ((one, P([0, 1])),))
     with pytest.raises(ValueError):
         GFMatrix(2, ((one, P([0, 1])), (P([0, 1]),)))
+
+
+@pytest.mark.parametrize("n, entries", [
+    (1, (((1, 0, 1),),)),  # a tuple, not a HalfPolynomial
+    (1.0, ((P([1]),),)),
+    (True, ((P([1]),),)),
+])
+def test_matrix_rejects_bad_types(n, entries):
+    """A non-``int`` n, a bool included, or an entry that is no
+    HalfPolynomial raises ValidationError, before the shape and parity
+    checks: they raised AttributeError and TypeError from inside them."""
+    with pytest.raises(ValidationError):
+        GFMatrix(n, entries)
 
 
 def test_matrix_rejects_parity_break():

@@ -28,6 +28,16 @@ def test_canonical_form():
     assert P.monomial(3, 5) == P([0, 0, 0, 5])
 
 
+@pytest.mark.parametrize("coeffs, index", [([1.5, 0.0], 0), ([True], 0), ([1, 0, 2.0], 2)])
+def test_coefficients_must_be_ints(coeffs, index):
+    """Coefficients are exact Python ints: a float or a bool raises
+    ValidationError naming its index, where it once printed as ``1.5`` or
+    ``True`` and failed later inside a determinant."""
+    with pytest.raises(ValidationError) as err:
+        P(coeffs)
+    assert err.value.index == index
+
+
 def test_polynomials_are_immutable():
     p = P([1, 2])
     for name in ("coeffs", "other"):

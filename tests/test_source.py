@@ -30,6 +30,23 @@ def test_pipeline_determinant_does_not_use_the_generic_one():
     assert not found, found
 
 
+def test_oracle_imports_no_engine_code():
+    """``oracle.py`` imports only ``TASpec`` from ``genfun`` and nothing from
+    ``hilbert`` or the package as a whole, so the brute-force ground truth
+    shares no counting code with either engine."""
+    path = Path(laddergf.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = set()  # (module within the package, name), "*" for a whole module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports |= {(a.name.removeprefix("laddergf").lstrip("."), "*") for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("laddergf").lstrip(".")
+            imports |= {(module, a.name) if module else (a.name, "*") for a in node.names}
+    assert {name for module, name in imports if module == "genfun"} == {"TASpec"}, imports
+    assert not [module for module, _ in imports if module in ("hilbert", "")], imports
+
+
 def test_package_docstring_example_runs():
     """The ``>>>`` example in ``laddergf.__doc__`` runs and holds: tier-1
     collects only ``tests/``, so no doctest collection reaches it."""
