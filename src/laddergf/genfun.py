@@ -20,6 +20,12 @@ Two evaluation strategies are provided:
   running entry counts of the two rows in time polynomial in the ladder:
   two passes per interval, one per row, each keeping only the counts from
   which the type l can still be reached.  It uses no closed form.
+  ``gf_direct_row`` answers specs that share their end and offset, such as
+  one determinant row, in one sweep: the specs share the program's steps
+  from eps_1 down to where their own clamp at alpha_2, or their own
+  alpha_1, makes a step differ, and there they fork; each shared step keeps
+  the counts that any spec below it can still use.  ``gf_direct`` is its
+  one-spec case.
 
 * ``gf_recursive`` -- peel the maximal run of the boundary (horizontal
   or diagonal staircase) that ends at eps_1, and recurse.  Its base cases
@@ -48,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from math import comb, inf
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import (
     EndpointOutsideLadder,
@@ -248,92 +254,143 @@ def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
 # the direct multi-sum
 # ---------------------------------------------------------------------------
 
-def _direct_sum(ladder: LadderFunction, l, a1, a2, e1, e2, d) -> HalfPolynomial:
-    """Multi-sum over the coarsest constant partition of the clamped boundary.
-
-    With g = clamp(f, [alpha_2, eps_2 + 1]) constant on position blocks
-    (s_i, s_{i-1}], i = 1..kappa (s_kappa = alpha_1 - 1, s_0 = eps_1), count
-    first-row entries beyond each s_i (vector e) and second-row entries at or
-    above each block value (vector f).  The coupling reduces to f_i <= e_i + d
-    per block, rows within a block are free binomial choices, and the term
-    weight is q^(2 e_kappa - l).  One extra top layer counts second-row
-    entries at or above g(eps_1): those pair with nothing only while their
-    number stays <= d, which matters precisely when eps_2 reaches the
-    boundary, as it always does for the shifted determinant entries.  A
-    second-row range of negative width is clamped to the empty one,
-    eps_2 = alpha_2 - 1, so that the window [alpha_2, eps_2 + 1] is not
-    inverted.
-
-    A summand depends on the earlier blocks only through the running pair
-    (e_i, f_i), so the sum runs forward over the blocks on a table mapping
-    each pair to its summed weight: at most (eps_1 - alpha_1 + 2) *
-    (eps_2 - alpha_2 + 2) pairs, instead of one visit per summand.  The
-    coupling cut f_{i-1} + df <= e_{i-1} + de + d reads f only before the
-    block's step and e only after it, so a block is two passes: move e by
-    de with weight C(width, de), then f by df with weight C(rise, df) under
-    the cut.  That is (width + 1) + (rise + 1) steps per pair and block, not
-    their product.
-
-    Both passes also drop the pairs that cannot reach the end.  After block
-    i, e can still grow by at most R_e = s_i - s_kappa and f by at most
-    R_f = g(s_i) - alpha_2 (0 after the last block), and only pairs with
-    e_kappa - f_kappa = l are summed.  So a pair whose e - f - l lies
-    outside [-R_e, R_f] after block i, or outside [-R_e, R_f + rise]
-    between its two passes, where f has yet to take the block's rise, adds
-    nothing to the answer.  The cut drops only pairs whose every extension
-    misses e - f = l, so it is exact.  An empty first row (eps_1 < alpha_1)
-    gives no block, and the top layer alone, with threshold alpha_2, counts
-    the second rows; so no closed form is needed.
-    """
-    e2 = max(e2, a2 - 1)  # an empty range is empty whatever its width
-    g = [min(max(ladder.value(x), a2), e2 + 1) for x in range(a1, e1 + 1)]
-    svals = [e1] if g else []
+def _direct_steps(values, a1, a2, e1, e2) -> list[tuple[int, int]]:
+    """One target's steps (width, rise), from eps_1 down: the top layer
+    (0, eps_2 + 1 - g(eps_1)), then each block of constant
+    g = clamp(f, [alpha_2, eps_2 + 1]) from the top, with the fall of g below
+    it, to alpha_2 after the last block.  A second-row range of negative
+    width is clamped to the empty one, eps_2 = alpha_2 - 1, so that the
+    window is not inverted; an empty first row has the top layer alone."""
+    top = max(e2, a2 - 1) + 1
+    if e1 < a1:
+        return [(0, top - a2)]
+    h = min(max(values[max(e1, 0)], a2), top)
+    steps, s = [(0, top - h)], e1
     for x in range(e1 - 1, a1 - 1, -1):
-        if g[x - a1] != g[x - a1 + 1]:
-            svals.append(x)
-    svals.append(a1 - 1)
-    kappa = len(svals) - 1
-    thr = [g[svals[i] - a1] for i in range(kappa)] + [a2]
-    states: dict[tuple[int, int], int] = {}
-    for f0 in range(0, d + 1):
-        ctop = binomial(e2 + 1 - thr[0], f0)
-        if ctop:
-            states[(0, f0)] = ctop
-    for i in range(1, kappa + 1):
-        we = svals[i - 1] - svals[i]
-        wf = thr[i - 1] - thr[i]
-        cbe = [binomial(we, de) for de in range(we + 1)]
-        cbf = [binomial(wf, df) for df in range(wf + 1)]
-        # reachable: -R_e <= e - f - l <= R_f, plus this block's rise
-        # while f has not moved yet
-        lo = l - (svals[i] - svals[kappa])
-        hi = l + thr[i - 1] - thr[kappa]
-        moved: dict[tuple[int, int], int] = {}
-        get = moved.get
-        for (e, f), weight in states.items():
-            s = e - f
-            for de in range(max(0, lo - s), min(we, hi - s) + 1):
-                key = (e + de, f)
-                moved[key] = get(key, 0) + weight * cbe[de]
-        hi -= wf
-        states = {}
-        get = states.get
-        for (e, f), weight in moved.items():
-            s = e - f
-            # coupling cut f + df <= e + d
-            for df in range(max(0, s - hi), min(wf, s + d, s - lo) + 1):
-                key = (e, f + df)
-                states[key] = get(key, 0) + weight * cbf[df]
-    return HalfPolynomial.from_dict(
-        {2 * e - l: weight for (e, f), weight in states.items() if e - f == l}
-    )
+        v = min(max(values[max(x, 0)], a2), top)
+        if v != h:
+            steps.append((s - x, h - v))
+            s, h = x, v
+    steps.append((s - a1 + 1, h - a2))
+    return steps
+
+
+def _direct_row(ladder: LadderFunction, e1, e2, d,
+                targets: list[tuple[int, int, int]]) -> list[HalfPolynomial]:
+    """The multi-sums of the targets (l, alpha_1, alpha_2) that share the end
+    (eps_1, eps_2) and the offset d, such as one determinant row, in one
+    sweep over the coarsest constant partitions of their clamped boundaries.
+
+    For one target, with g constant on the blocks (s_i, s_{i-1}],
+    i = 1..kappa (s_0 = eps_1, s_kappa = alpha_1 - 1, g(s_kappa) read as
+    alpha_2), count first-row entries beyond each s_i (vector e) and
+    second-row entries at or above each g(s_i) (vector f); step i of
+    ``_direct_steps`` is block i's width and the rise g(s_{i-1}) - g(s_i),
+    and step 0 the top layer above g(eps_1).  Such a second-row entry exceeds
+    the boundary at every column up to s_i, so it pairs with a first-row
+    entry beyond s_i or is one of the at most d unpaired top entries: the
+    coupling reduces to f_i <= e_i + d per block, the top layer included.
+    Rows within a block are free binomial choices, and the term weight is
+    q^(2 e_kappa - l).  A summand depends on the earlier steps only through
+    the running pair (e_i, f_i), so the sum runs forward over the steps on
+    a table mapping each pair to its summed weight: at most
+    (eps_1 - alpha_1 + 2) * (eps_2 - alpha_2 + 2) pairs, instead of one
+    visit per summand.  The coupling cut f_{i-1} + df <= e_{i-1} + de + d
+    reads f only before the step's rise and e only after its width, so a
+    step is two passes: move e by de with weight C(width, de), then f by df
+    with weight C(rise, df) under the cut.  That is (width + 1) +
+    (rise + 1) moves per pair and step, not their product.
+
+    Both passes also drop the pairs that cannot reach the end.  After step
+    i, e can still grow by at most R_e, the widths of the later steps, and f
+    by at most R_f, their rises, and only pairs with e - f = l are summed.
+    So a pair whose e - f lies outside [l - R_e, l + R_f] after step i, or
+    outside [l - R_e, l + R_f + rise] between its two passes, where f has
+    yet to take the step's rise, adds nothing to the answer.
+
+    The table after a step depends only on the steps so far and d, so the
+    targets share it along the common prefix of their step sequences, a
+    trie walked depth first.  A target forks off where its own clamp at
+    alpha_2, or its own alpha_1, makes its next step differ from the shared
+    one, and reads its answer off the table after its last step.  Each
+    step keeps the pairs that the cut of any target below it keeps, the
+    hull of their intervals, so every pair a target needs is kept: the cut
+    drops only pairs whose every extension misses e - f = l for every one
+    of those targets, so it is exact.  It uses no closed form.
+    """
+    values = ladder.values
+    steps, cuts = [], []  # cuts[i][j]: (l - R_e, l + R_f) after step j
+    for l, a1, a2 in targets:
+        path = _direct_steps(values, a1, a2, e1, e2)
+        cut, r_e, r_f = [], 0, 0
+        for we, wf in reversed(path):
+            cut.append((l - r_e, l + r_f))
+            r_e, r_f = r_e + we, r_f + wf
+        steps.append(path)
+        cuts.append(cut[::-1])
+    answers: list[HalfPolynomial] = [HalfPolynomial()] * len(targets)
+    stack = [({(0, 0): 1}, 0, range(len(targets)))]
+    while stack:
+        states, j, group = stack.pop()
+        forks: dict[tuple[int, int], list[int]] = {}
+        for t in group:
+            if j < len(steps[t]):
+                forks.setdefault(steps[t][j], []).append(t)
+            else:
+                l = targets[t][0]
+                answers[t] = HalfPolynomial.from_dict(
+                    {2 * e - l: weight for (e, f), weight in states.items() if e - f == l}
+                )
+        for (we, wf), below in forks.items():
+            lo = min(cuts[t][j][0] for t in below)
+            hi = max(cuts[t][j][1] for t in below) + wf
+            cbe = [comb(we, de) for de in range(we + 1)]
+            cbf = [comb(wf, df) for df in range(wf + 1)]
+            moved: dict[tuple[int, int], int] = {}
+            get = moved.get
+            for (e, f), weight in states.items():
+                s = e - f
+                for de in range(max(0, lo - s), min(we, hi - s) + 1):
+                    key = (e + de, f)
+                    moved[key] = get(key, 0) + weight * cbe[de]
+            hi -= wf
+            after: dict[tuple[int, int], int] = {}
+            get = after.get
+            for (e, f), weight in moved.items():
+                s = e - f
+                # coupling cut f + df <= e + d
+                for df in range(max(0, s - hi), min(wf, s + d, s - lo) + 1):
+                    key = (e, f + df)
+                    after[key] = get(key, 0) + weight * cbf[df]
+            stack.append((after, j + 1, below))
+    return answers
+
+
+def _direct_sum(ladder: LadderFunction, l, a1, a2, e1, e2, d) -> HalfPolynomial:
+    """The multi-sum of one target: ``_direct_row`` with one target."""
+    return _direct_row(ladder, e1, e2, d, [(l, a1, a2)])[0]
+
+
+def gf_direct_row(specs: Sequence[TASpec]) -> list[HalfPolynomial]:
+    """Evaluate the generating functions of specs that share their end,
+    offset and ladder, such as the entries of one determinant row, by one
+    interval multi-sum sweep (``_direct_row``)."""
+    if not specs:
+        return []
+    first = specs[0]
+    for spec in specs:
+        _require_pairing(spec.l, spec.d)
+        if (spec.end, spec.d, spec.ladder) != (first.end, first.d, first.ladder):
+            raise PreconditionViolated(
+                "a direct row needs one end, offset and ladder for all its specs"
+            )
+    return _direct_row(first.ladder, first.end.x, first.end.y, first.d,
+                       [(spec.l, spec.start.x, spec.start.y) for spec in specs])
 
 
 def gf_direct(spec: TASpec) -> HalfPolynomial:
     """Evaluate the generating function by the interval multi-sum."""
-    _require_pairing(spec.l, spec.d)
-    return _direct_sum(spec.ladder, spec.l, spec.start.x, spec.start.y,
-                       spec.end.x, spec.end.y, spec.d)
+    return gf_direct_row([spec])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchFound, OddExponentPresent, ValidationError
-from .genfun import TASpec, _engine_for, gf_direct
+from .genfun import TASpec, _engine_for, gf_direct_row
 from .model import (
     Bivector,
     EndpointConfig,
     LadderFunction,
+    _as_tuple,
     _require_int,
     endpoints_from_bivector,
     validate_general_endpoints,
@@ -39,8 +40,10 @@ class GFMatrix:
 
     Entry (s, t) carries only q-exponents congruent to t - s mod 2, so every
     expansion term of the determinant has even total degree.  The constructor
-    checks the types (ValidationError), the shape (ValueError unless n x n)
-    and the parity (OddExponentPresent, naming the 1-based entry).
+    stores the grid and each row as tuples, checks the types
+    (ValidationError, also for a grid or row that is not iterable), the
+    shape (ValueError unless n x n) and the parity (OddExponentPresent,
+    naming the 1-based entry).
     """
 
     n: int
@@ -48,6 +51,9 @@ class GFMatrix:
 
     def __post_init__(self):
         _require_int(self.n, "n")
+        rows = _as_tuple(self.entries, "GFMatrix entries", ValidationError)
+        object.__setattr__(self, "entries", tuple(
+            _as_tuple(row, "GFMatrix row", ValidationError) for row in rows))
         if not all(isinstance(e, HalfPolynomial) for row in self.entries for e in row):
             raise ValidationError("every GFMatrix entry must be a HalfPolynomial")
         if self.n < 1 or len(self.entries) != self.n or any(
@@ -139,23 +145,29 @@ def matrix_specs(ladder: LadderFunction, cfg: EndpointConfig) -> list[list[TASpe
 def build_gf_matrix(
     ladder: LadderFunction, cfg: EndpointConfig, method: str = "recursive"
 ) -> GFMatrix:
-    """Fill the determinant entries of ``matrix_specs`` with the chosen
-    evaluation method.
+    """Fill the determinant entries of ``matrix_specs`` row by row with the
+    chosen evaluation method.
 
-    The recursive method fills all n^2 entries from the ladder's engine,
-    which every earlier query on this ladder object filled too, so that
-    entries and queries share sub-results.  It is replaced by a new engine
-    when an entry needs a wider packing than it has.  The engine's memo
-    lives as long as the ladder object that was queried.
+    The entries of row s share the s-th shifted end and the offset s - 1,
+    so the direct method answers each row in one multi-sum sweep
+    (``gf_direct_row``), whose entries share its top blocks.  The recursive
+    method fills every entry from the ladder's engine, which every earlier
+    query on this ladder object filled too, so that entries and queries
+    share sub-results.  It is replaced by a new engine when an entry needs a
+    wider packing than it has.  The engine's memo lives as long as the
+    ladder object that was queried.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     specs = matrix_specs(ladder, cfg)
     if method == "recursive":
-        evaluate = _engine_for(ladder, [spec for row in specs for spec in row]).gf
+        gf = _engine_for(ladder, [spec for row in specs for spec in row]).gf
+
+        def fill_row(row):
+            return [gf(spec) for spec in row]
     else:
-        evaluate = gf_direct
-    return GFMatrix(cfg.n, tuple(tuple(evaluate(spec) for spec in row) for row in specs))
+        fill_row = gf_direct_row
+    return GFMatrix(cfg.n, [fill_row(row) for row in specs])
 
 
 def path_gf(

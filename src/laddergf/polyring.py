@@ -205,7 +205,11 @@ def _unpack(v: int, k: int) -> HalfPolynomial:
     while v:
         coeffs.append(v & mask)
         v >>= k
-    return HalfPolynomial(coeffs)
+    # ints whose last one is v's nonzero top digit: the canonical form,
+    # built without the constructor's per-coefficient type test
+    p = object.__new__(HalfPolynomial)
+    object.__setattr__(p, "coeffs", tuple(coeffs))
+    return p
 
 
 def _bareiss(m: list[list[int]]) -> int:

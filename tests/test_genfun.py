@@ -5,6 +5,8 @@ are pinned to each other and to the oracle on random ladders.
 """
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,7 @@ from laddergf import (
     BorderPiece,
     EndpointOutsideLadder,
     HalfPolynomial,
+    LadderError,
     PreconditionViolated,
     StarRequiresNonemptyFirstColumn,
     TASpec,
@@ -26,9 +29,19 @@ from laddergf import (
     gf_star_trivial,
     gf_trivial,
     partition_border,
+    validate_general_endpoints,
     validate_ladder,
 )
-from laddergf.genfun import _Engine, _diagonal_terms, _direct_sum, _runs, _trivial_terms
+from laddergf.genfun import (
+    _Engine,
+    _diagonal_terms,
+    _direct_steps,
+    _direct_sum,
+    _runs,
+    _trivial_terms,
+    gf_direct_row,
+)
+from laddergf.hilbert import matrix_specs
 from laddergf.polyring import _pack_terms, _unpack
 from helpers import flagship_ladder, random_ladder, random_taspec_wide
 
@@ -308,6 +321,80 @@ def test_direct_sum_reachability_cut_edges():
             assert _direct_sum(lad, l, a1, a2, e1, e2, d) == enumerate_arrays(spec), spec
             cases += 1
     assert cases >= 400, cases
+
+
+def _general_endpoints(rng, lad, n):
+    """n random start/end pairs that ``validate_general_endpoints`` takes,
+    or None: starts on strictly falling rows from a first start on the flat
+    prefix (left of column 0 allowed), ends on strictly rising columns."""
+    flat = 0
+    while flat < lad.a and lad.value(flat + 1) == lad.value(0):
+        flat += 1
+    xs = sorted([rng.randint(-2, flat)] + [rng.randint(-2, lad.a) for _ in range(n - 1)])
+    if lad.value(xs[0]) < n or lad.a + 1 < n:
+        return None
+    ys = sorted(rng.sample(range(lad.value(xs[0])), n), reverse=True)
+    ex = sorted(rng.sample(range(lad.a + 1), n))
+    ey = [rng.randint(lad.value(ex[0]) // 2, lad.value(ex[0]) - 1)]
+    for _ in range(n - 1):
+        ey.append(rng.randint(0, ey[-1]))
+    try:
+        return validate_general_endpoints(lad, list(zip(xs, ys)), list(zip(ex, ey)))
+    except LadderError:
+        return None
+
+
+def test_direct_rows_fork_where_their_steps_differ():
+    """Each entry of a determinant row, answered by one sweep of the row,
+    equals enumeration and the recursive engine, in either order of the
+    row's entries.  The rows come from random general endpoints, n = 2..4,
+    and hold every case in which a target's steps leave the shared ones,
+    and rows that fork: a whole window in one clamped block
+    (f(eps_1) <= alpha_2), an empty first row, a second row of negative
+    width, a first row starting left of column 0, and two targets with
+    equal alpha_2.  Budget 60 s; about 1 s on a 2-vCPU Xeon VM."""
+    rng = random.Random(2323)
+    t0 = time.perf_counter()
+    seen = dict.fromkeys(("one block", "empty first row", "negative second row",
+                          "left of column 0", "equal alpha_2", "forked"), 0)
+    rows = 0
+    while rows < 2000:
+        lad = random_ladder(rng, amin=2, bmin=2, amax=6, bmax=6)
+        cfg = _general_endpoints(rng, lad, rng.randint(2, 4))
+        if cfg is None:
+            continue
+        for row in matrix_specs(lad, cfg):
+            rows += 1
+            # reversed too: the sweep must not depend on the targets' order
+            backwards = gf_direct_row(row[::-1])[::-1]
+            for spec, got, back in zip(row, gf_direct_row(row), backwards):
+                assert got == back == enumerate_arrays(spec) == gf_recursive(spec), spec
+                (a1, a2), (e1, e2) = spec.start, spec.end
+                seen["one block"] += a1 <= e1 and lad.value(e1) <= a2
+                seen["empty first row"] += e1 < a1
+                seen["negative second row"] += e2 < a2 - 1
+                seen["left of column 0"] += a1 < 0 <= e1
+            seen["equal alpha_2"] += len({spec.start.y for spec in row}) < len(row)
+            e1, e2 = row[0].end
+            paths = {tuple(_direct_steps(lad.values, *s.start, e1, e2)) for s in row}
+            seen["forked"] += len(paths) > 1
+    assert min(seen.values()) >= 30, seen
+    assert time.perf_counter() - t0 < 60.0
+
+
+def test_direct_row_needs_one_end_offset_and_ladder():
+    """A row sweep shares the end, the offset and the ladder of its specs,
+    so specs that differ in any of them, or break the pairing rule, raise
+    PreconditionViolated; an empty row has no entries."""
+    lad = flagship_ladder()
+    spec = TASpec(0, (0, 2), (5, 6), 1, lad)
+    other = validate_ladder(lad.a, lad.b, [lad.b + 1] * (lad.a + 1))
+    for bad in (replace(spec, end=(4, 6)), replace(spec, d=2), replace(spec, ladder=other),
+                replace(spec, l=-2)):
+        with pytest.raises(PreconditionViolated):
+            gf_direct_row([spec, bad])
+    assert gf_direct_row([spec, spec]) == [gf_direct(spec)] * 2
+    assert gf_direct_row([]) == []
 
 
 def test_recursive_equals_trivial_form_on_trivial_ladders():

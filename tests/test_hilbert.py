@@ -80,6 +80,20 @@ def test_matrix_rejects_bad_types(n, entries):
         GFMatrix(n, entries)
 
 
+def test_matrix_stores_a_tuple_grid():
+    """The grid and each row are stored as tuples, so a matrix built from
+    lists hashes; a grid or row that is not iterable raises
+    ValidationError.  A list grid was kept as given and could not be hashed,
+    and the other two raised a bare TypeError."""
+    one = P([1])
+    matrix = GFMatrix(1, [[one]])
+    assert matrix.entries == ((one,),)
+    assert hash(matrix) == hash(GFMatrix(1, ((one,),)))
+    for grid in ((one,), None):
+        with pytest.raises(ValidationError):
+            GFMatrix(1, grid)
+
+
 def test_matrix_rejects_parity_break():
     # entry (1, 2) has type 1 and must hold odd q-exponents only
     with pytest.raises(OddExponentPresent) as err:

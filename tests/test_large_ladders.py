@@ -196,7 +196,10 @@ def test_engines_agree_on_ladders_past_80():
     n <= 3, half diagonal-heavy and half with many pieces, inside a 30-s
     budget.  On a 2-vCPU Xeon VM the direct engine took 8.8 s with one
     step per (width, rise) pair and block, 4.3 s in two passes per block
-    with the reachability cut; the recursive engine 0.5 s."""
+    with the reachability cut; the recursive engine 0.5 s.  On a slower
+    host of that kind, the direct engine took 11.9-12.6 s entry by entry
+    and 5.3-6.0 s in one sweep per determinant row, and the recursive
+    engine 1.4 s."""
     rng = random.Random(8012)
     t0 = time.perf_counter()
     for k in range(8):
@@ -223,14 +226,15 @@ def test_many_pieces_boundary():
 
 
 def test_recursive_engine_never_calls_direct_sum(monkeypatch):
-    """With the direct multi-sum made to raise, the recursive engine still
-    answers the cliff ladders, whose last diagonal run fails the reflection
-    hypothesis, and the 40 large queries."""
+    """With the direct multi-sum, one target's and one row's, made to raise,
+    the recursive engine still answers the cliff ladders, whose last
+    diagonal run fails the reflection hypothesis, and the 40 large queries."""
 
     def unavailable(*args):
         raise RuntimeError("the recursive engine called the direct multi-sum")
 
-    monkeypatch.setattr(laddergf.genfun, "_direct_sum", unavailable)
+    for name in ("_direct_sum", "_direct_row"):
+        monkeypatch.setattr(laddergf.genfun, name, unavailable)
     for L in (9, 10, 11, 12, 14):
         hs = hilbert_series(cliff_ladder(L), CLIFF_MINOR, "recursive")
         assert hs.denom_exponent == 149, L

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, the binomial convention, and determinants."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from laddergf import (
     series_expand,
     to_z_polynomial,
 )
+from laddergf.polyring import _pack, _unpack
 
 P = HalfPolynomial
 
@@ -36,6 +38,26 @@ def test_coefficients_must_be_ints(coeffs, index):
     with pytest.raises(ValidationError) as err:
         P(coeffs)
     assert err.value.index == index
+
+
+def test_unpack_builds_the_canonical_form_unchecked(monkeypatch):
+    """``_unpack`` reads digits that are ints by construction, so it builds
+    its polynomial without the constructor's type test; the result equals,
+    hashes and pickles like the checked one, interior zero digits included."""
+    rng = random.Random(23)
+    cases = [[rng.choice((0, 0, 1, 5, 255)) for _ in range(rng.randint(0, 9))] + [rng.randint(1, 255)]
+             for _ in range(50)]
+    checked = [P(c) for c in cases]
+
+    def unavailable(self):
+        raise RuntimeError("_unpack ran the constructor's check")
+
+    monkeypatch.setattr(P, "__post_init__", unavailable)
+    for c, want in zip(cases, checked):
+        got = _unpack(_pack(c, 8), 8)
+        assert got.coeffs == tuple(c) and got == want and hash(got) == hash(want), c
+        assert pickle.loads(pickle.dumps(got)) == want
+    assert _unpack(0, 8).coeffs == ()
 
 
 def test_polynomials_are_immutable():

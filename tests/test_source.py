@@ -47,6 +47,37 @@ def test_oracle_imports_no_engine_code():
     assert not [module for module, _ in imports if module in ("hilbert", "")], imports
 
 
+def _reachable(tree: ast.Module, root: str) -> set[str]:
+    """The module-level names that the definition of root names, and those
+    that theirs name, transitively, root included."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name in defs:
+            todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)]
+    return seen
+
+
+def test_engines_share_no_counting_code():
+    """In ``genfun.py`` the recursive engine (``_Engine``, and everything it
+    names) names no direct multi-sum, and the direct row sweep
+    (``_direct_row``, and everything it names) names no closed form, so
+    ``direct == recursive`` compares two independent computations."""
+    path = Path(laddergf.__file__).parent / "genfun.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    direct = {"_direct_row", "_direct_sum", "_direct_steps", "gf_direct", "gf_direct_row"}
+    closed = {"_trivial_terms", "_diagonal_terms", "gf_trivial", "gf_diagonal"}
+    assert not _reachable(tree, "_Engine") & direct, _reachable(tree, "_Engine") & direct
+    assert "_trivial_terms" in _reachable(tree, "_Engine")
+    assert not _reachable(tree, "_direct_row") & closed, _reachable(tree, "_direct_row") & closed
+    assert "_direct_steps" in _reachable(tree, "_direct_row")
+
+
 def test_package_docstring_example_runs():
     """The ``>>>`` example in ``laddergf.__doc__`` runs and holds: tier-1
     collects only ``tests/``, so no doctest collection reaches it."""
