@@ -255,23 +255,21 @@ def gf_star_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
 # ---------------------------------------------------------------------------
 
 def _direct_steps(values, a1, a2, e1, e2) -> list[tuple[int, int]]:
-    """One target's steps (width, rise), from eps_1 down: the top layer
-    (0, eps_2 + 1 - g(eps_1)), then each block of constant
-    g = clamp(f, [alpha_2, eps_2 + 1]) from the top, with the fall of g below
-    it, to alpha_2 after the last block.  A second-row range of negative
-    width is clamped to the empty one, eps_2 = alpha_2 - 1, so that the
-    window is not inverted; an empty first row has the top layer alone."""
+    """One target's steps (width, rise), from eps_1 down: each block of
+    constant g = clamp(f, [alpha_2, eps_2 + 1]), with the fall of g below it,
+    g read as eps_2 + 1 right of eps_1 and as alpha_2 left of alpha_1.  So
+    the first is the top layer (0, eps_2 + 1 - g(eps_1)) unless that is
+    (0, 0).  A second-row range of negative width is clamped to the empty
+    one, eps_2 = alpha_2 - 1, so that the window is not inverted; an empty
+    first row has the one step (0, eps_2 + 1 - alpha_2)."""
     top = max(e2, a2 - 1) + 1
-    if e1 < a1:
-        return [(0, top - a2)]
-    h = min(max(values[max(e1, 0)], a2), top)
-    steps, s = [(0, top - h)], e1
-    for x in range(e1 - 1, a1 - 1, -1):
+    steps, s, h = [], e1, top
+    for x in range(e1, a1 - 1, -1):
         v = min(max(values[max(x, 0)], a2), top)
         if v != h:
             steps.append((s - x, h - v))
             s, h = x, v
-    steps.append((s - a1 + 1, h - a2))
+    steps.append((max(0, s - a1 + 1), h - a2))
     return steps
 
 
@@ -284,12 +282,13 @@ def _direct_row(ladder: LadderFunction, e1, e2, d,
     For one target, with g constant on the blocks (s_i, s_{i-1}],
     i = 1..kappa (s_0 = eps_1, s_kappa = alpha_1 - 1, g(s_kappa) read as
     alpha_2), count first-row entries beyond each s_i (vector e) and
-    second-row entries at or above each g(s_i) (vector f); step i of
-    ``_direct_steps`` is block i's width and the rise g(s_{i-1}) - g(s_i),
-    and step 0 the top layer above g(eps_1).  Such a second-row entry exceeds
-    the boundary at every column up to s_i, so it pairs with a first-row
-    entry beyond s_i or is one of the at most d unpaired top entries: the
-    coupling reduces to f_i <= e_i + d per block, the top layer included.
+    second-row entries at or above each g(s_i) (vector f).  The steps of
+    ``_direct_steps`` are the top layer above g(eps_1), when it is not
+    empty, and then block i's width and the rise g(s_{i-1}) - g(s_i) for
+    i = 1..kappa.  Such a second-row entry exceeds the boundary at every
+    column up to s_i, so it pairs with a first-row entry beyond s_i or is
+    one of the at most d unpaired top entries: the coupling reduces to
+    f_i <= e_i + d per block, the top layer included.
     Rows within a block are free binomial choices, and the term weight is
     q^(2 e_kappa - l).  A summand depends on the earlier steps only through
     the running pair (e_i, f_i), so the sum runs forward over the steps on
@@ -641,9 +640,7 @@ def gf_recursive(spec: TASpec) -> HalfPolynomial:
 
 def gf_star_recursive(spec: TASpec) -> HalfPolynomial:
     """Border peeling for arrays whose first row starts exactly at alpha_1:
-    the value at spec minus the value at first-row start alpha_1 + 1, both
-    from the ladder's engine."""
-    _require_pairing(spec.l, spec.d)
-    engine = _engine_for(spec.ladder, [spec])
-    return _pinned(lambda l, alpha, eps: engine.gf(replace(spec, start=alpha)),
+    ``gf_recursive`` at spec minus ``gf_recursive`` at first-row start
+    alpha_1 + 1, whose set is smaller, so both come from one engine."""
+    return _pinned(lambda l, alpha, eps: gf_recursive(replace(spec, start=alpha)),
                    spec.l, spec.start, spec.end)

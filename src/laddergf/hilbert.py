@@ -160,14 +160,10 @@ def build_gf_matrix(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     specs = matrix_specs(ladder, cfg)
-    if method == "recursive":
-        gf = _engine_for(ladder, [spec for row in specs for spec in row]).gf
-
-        def fill_row(row):
-            return [gf(spec) for spec in row]
-    else:
-        fill_row = gf_direct_row
-    return GFMatrix(cfg.n, [fill_row(row) for row in specs])
+    if method == "direct":
+        return GFMatrix(cfg.n, [gf_direct_row(row) for row in specs])
+    gf = _engine_for(ladder, [spec for row in specs for spec in row]).gf
+    return GFMatrix(cfg.n, [[gf(spec) for spec in row] for row in specs])
 
 
 def path_gf(

@@ -11,6 +11,7 @@ All types here are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -327,11 +328,12 @@ def validate_general_endpoints(
     cfg = EndpointConfig(pts_s, pts_e)
     first_x = pts_s[0].x
     level = ladder.value(first_x)
-    for x in range(min(first_x, ladder.a) - 1, -1, -1):
-        if ladder.value(x) != level:
-            raise BoundaryNotFlatLeftOfFirstStart(
-                f"f({x}) = {ladder.value(x)} != f({first_x}) = {level}: boundary "
-                "must be constant left of the first start",
-                index=x,
-            )
+    # the last column below level, left of first_x as f is weakly increasing
+    x = bisect_left(ladder.values, level) - 1
+    if x >= 0:
+        raise BoundaryNotFlatLeftOfFirstStart(
+            f"f({x}) = {ladder.value(x)} != f({first_x}) = {level}: boundary "
+            "must be constant left of the first start",
+            index=x,
+        )
     return cfg

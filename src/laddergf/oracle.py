@@ -111,13 +111,11 @@ def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
         # b_s = second[s - 1] pairs with a_{s+d} = first[s + d + l - 1]
         # wherever both entries exist: 1 <= s <= k and -l + 1 <= s + d <= k
         pairs = [(s - 1, s + d + l - 1) for s in range(1, k + 1) if -l + 1 <= s + d <= k]
-        count = sum(
+        terms[2 * k + l] = sum(
             all(second[i] < lad.value(first[j]) for i, j in pairs)
             for first in itertools.combinations(range(a1, e1 + 1), k + l)
             for second in itertools.combinations(range(a2, e2 + 1), k)
         )
-        if count:
-            terms[2 * k + l] = count
     return HalfPolynomial.from_dict(terms)
 
 

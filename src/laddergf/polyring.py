@@ -54,7 +54,9 @@ class HalfPolynomial:
     ``coeffs[k]`` is the coefficient of q^k = z^(k/2).  The representation is
     canonical: no trailing zeros, and the zero polynomial is the empty tuple;
     the constructor takes any iterable of ints and trims it to that form;
-    any other coefficient, a bool included, raises ValidationError.
+    any other coefficient, or an exponent given to ``monomial``,
+    ``from_dict`` or ``coefficient`` that is no int, a bool included,
+    raises ValidationError.
     Instances are immutable and hashable, and they pickle and copy.
     """
 
@@ -80,16 +82,17 @@ class HalfPolynomial:
 
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "HalfPolynomial":
+        _require_int(exponent, "exponent")
         if exponent < 0:
             raise ValueError("q-exponents must be nonnegative")
         return cls((0,) * exponent + (coeff,))
 
     @classmethod
     def from_dict(cls, terms: dict[int, int]) -> "HalfPolynomial":
-        if not terms:
-            return cls()
-        top = max(terms)
-        cs = [0] * (top + 1)
+        if not set(map(type, terms)) <= {int}:
+            for e in terms:
+                _require_int(e, "exponent")
+        cs = [0] * (max(terms, default=-1) + 1)
         for e, c in terms.items():
             if e < 0:
                 raise ValueError("q-exponents must be nonnegative")
@@ -105,6 +108,7 @@ class HalfPolynomial:
         return not self.coeffs
 
     def coefficient(self, k: int) -> int:
+        _require_int(k, "exponent")
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
@@ -139,8 +143,6 @@ class HalfPolynomial:
         if not isinstance(other, HalfPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return HalfPolynomial()
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -253,6 +255,8 @@ def det_poly_matrix(rows: Sequence[Sequence[HalfPolynomial]]) -> HalfPolynomial:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("matrix must be square and nonempty")
+    if not all(isinstance(p, HalfPolynomial) for r in rows for p in r):
+        raise ValidationError("every matrix entry must be a HalfPolynomial")
     hadamard_sq = 1
     for r in rows:
         hadamard_sq *= sum(sum(map(abs, p.coeffs)) ** 2 for p in r)
@@ -275,8 +279,11 @@ def to_z_polynomial(p: HalfPolynomial) -> HalfPolynomial:
 
     Returns p unchanged on success; this is the gateway through which a
     determinant becomes the numerator of a Hilbert series.  A failure is a
-    bug indicator, never a valid outcome of the pipeline.
+    bug indicator, never a valid outcome of the pipeline.  A p that is no
+    HalfPolynomial raises ValidationError.
     """
+    if not isinstance(p, HalfPolynomial):
+        raise ValidationError(f"{p!r} is not a HalfPolynomial")
     for k in p.exponents():
         if k % 2:
             raise OddExponentPresent(k)
@@ -297,18 +304,15 @@ class HilbertSeries:
     denom_exponent: int
 
     def __post_init__(self):
-        if not isinstance(self.numerator, HalfPolynomial):
-            raise ValidationError(f"numerator = {self.numerator!r} is not a HalfPolynomial")
+        to_z_polynomial(self.numerator)
         _require_int(self.denom_exponent, "denom_exponent")
         if self.denom_exponent < 0:
             raise ValueError("denominator exponent must be nonnegative")
-        to_z_polynomial(self.numerator)
 
     @property
     def z_coefficients(self) -> tuple[int, ...]:
         """Numerator coefficients of z^0, z^1, ..., z^deg."""
-        cs = self.numerator.coeffs
-        return tuple(cs[k] for k in range(0, len(cs), 2))
+        return self.numerator.coeffs[::2]
 
     @property
     def multiplicity(self) -> int:

@@ -397,6 +397,35 @@ def test_direct_row_needs_one_end_offset_and_ladder():
     assert gf_direct_row([]) == []
 
 
+def test_direct_steps_take_the_top_layer_only_when_it_moves():
+    """The steps run from eps_1 down with g read as eps_2 + 1 above it, so
+    the top layer (0, eps_2 + 1 - g(eps_1)) is a step only when it moves
+    f; an empty first row has the one step (0, eps_2 + 1 - alpha_2).  The
+    widths sum to the first row's width and the rises to the second's."""
+    values = (1, 2, 4, 4, 6)
+    assert _direct_steps(values, 3, 1, 2, 4) == [(0, 4)]
+    assert _direct_steps(values, 0, 0, 4, 4) == [(1, 1), (2, 2), (1, 1), (1, 1)]
+    assert _direct_steps(values, 0, 0, 4, 6) == [(0, 1), (1, 2), (2, 2), (1, 1), (1, 1)]
+    lad = validate_ladder(4, 6, values)
+    spec = TASpec(0, (0, 0), (4, 4), 1, lad)
+    assert gf_direct(spec) == enumerate_arrays(spec) == gf_recursive(spec)
+    rng = random.Random(2424)
+    seen = {"no top layer": 0, "top layer": 0, "empty first row": 0}
+    for _ in range(400):
+        spec = random_taspec_wide(rng, random_ladder(rng, amax=7, bmax=7))
+        (a1, a2), (e1, e2) = spec.start, spec.end
+        steps = _direct_steps(spec.ladder.values, a1, a2, e1, e2)
+        assert sum(w for w, _ in steps) == max(0, e1 - a1 + 1), (spec, steps)
+        assert sum(r for _, r in steps) == max(e2, a2 - 1) + 1 - a2, (spec, steps)
+        assert all(w for w, _ in steps[1:]) and (0, 0) not in steps[:-1], (spec, steps)
+        if e1 < a1:
+            seen["empty first row"] += 1
+            assert len(steps) == 1
+        else:
+            seen["top layer" if steps[0][0] == 0 else "no top layer"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def test_recursive_equals_trivial_form_on_trivial_ladders():
     rng = random.Random(17)
     for _ in range(40):

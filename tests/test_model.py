@@ -183,6 +183,30 @@ def test_general_endpoints_flatness():
     assert err.value.index == 4
 
 
+def test_general_endpoints_flatness_names_the_last_lower_column():
+    """The flatness check names the column a scan from the first start
+    leftwards names: the last one left of it whose value differs, where
+    the boundary is read at the start's column (f(0) for x < 0)."""
+    rng = random.Random(2408)
+    seen = {"raised": 0, "flat": 0, "start at x <= 0": 0}
+    for _ in range(600):
+        lad = random_ladder(rng, amax=9, bmax=6)
+        x = rng.randint(-3, lad.a)
+        point = (x, rng.randrange(lad.value(x)))
+        level = lad.value(x)
+        want = next((c for c in range(min(x, lad.a) - 1, -1, -1) if lad.value(c) != level), None)
+        seen["start at x <= 0"] += x <= 0
+        if want is None:
+            seen["flat"] += 1
+            validate_general_endpoints(lad, [point], [point])
+            continue
+        seen["raised"] += 1
+        with pytest.raises(BoundaryNotFlatLeftOfFirstStart) as err:
+            validate_general_endpoints(lad, [point], [point])
+        assert err.value.index == want, (lad, point)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_general_endpoints_chains():
     lad = validate_ladder(4, 4, [5] * 5)
     with pytest.raises(ChainViolation):

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, the binomial convention, and determinants."""
 
 import itertools
+import operator
 import pickle
 import random
 
@@ -38,6 +39,53 @@ def test_coefficients_must_be_ints(coeffs, index):
     with pytest.raises(ValidationError) as err:
         P(coeffs)
     assert err.value.index == index
+
+
+@pytest.mark.parametrize("call", [
+    lambda: P.from_dict({1.5: 1}),
+    lambda: P.from_dict({True: 3}),
+    lambda: P.from_dict({0: 1, "2": 1}),
+    lambda: P.monomial(2.0),
+    lambda: P.monomial(True),
+    lambda: P([1, 2, 3]).coefficient(1.5),
+    lambda: P([1, 2, 3]).coefficient(True),
+], ids=["from_dict-float", "from_dict-bool", "from_dict-str", "monomial-float",
+        "monomial-bool", "coefficient-float", "coefficient-bool"])
+def test_exponents_must_be_ints(call):
+    """Exponents follow the coefficients' integer rule: a float once raised
+    a bare TypeError, and a bool stood for q^1."""
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: det_poly_matrix([[1]]),
+    lambda: det_poly_matrix([[P.one(), P.one()], [P.one(), (1,)]]),
+    lambda: to_z_polynomial([1, 0, 1]),
+    lambda: to_z_polynomial(None),
+], ids=["det-int", "det-tuple", "to_z-list", "to_z-none"])
+def test_non_polynomials_are_rejected(call):
+    """A matrix entry or a numerator that is no HalfPolynomial raises
+    ValidationError, where it once raised AttributeError."""
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_polynomial_edge_cases():
+    """Negative exponents, coefficients beyond the degree, empty terms, the
+    zero factor and operands that are no polynomials."""
+    for call in (lambda: P.monomial(-1), lambda: P.from_dict({-1: 1}),
+                 lambda: P.from_dict({2: 1, -3: 1})):
+        with pytest.raises(ValueError):
+            call()
+    p = P([1, 2, 3])
+    assert p.coefficient(3) == p.coefficient(99) == p.coefficient(-1) == 0
+    assert P.from_dict({}) == P.from_dict({2: 0}) == P()
+    assert p * P() == P() * p == P() * P() == P()
+    for op in (operator.add, operator.sub, operator.mul):
+        for other in (1, (1, 2)):
+            with pytest.raises(TypeError):
+                op(p, other)
 
 
 def test_unpack_builds_the_canonical_form_unchecked(monkeypatch):
