@@ -60,6 +60,7 @@ from .errors import (
     EndpointOutsideLadder,
     PreconditionViolated,
     StarRequiresNonemptyFirstColumn,
+    ValidationError,
 )
 from .model import LadderFunction, LatticePoint, _require_int, as_point
 from .polyring import HalfPolynomial, _pack_terms, _unpack, binomial
@@ -71,9 +72,9 @@ class TASpec:
 
     l is the row-length difference (type), start/end hold the bounds
     (alpha_1, alpha_2) and (eps_1, eps_2), and d is the coupling offset.
-    l and d must be ``int``s, a bool excluded (ValidationError).  The
-    recursive and direct methods additionally require l + d >= 0; the
-    brute-force oracle does not.
+    l and d must be ``int``s, a bool excluded, and the ladder a
+    LadderFunction (ValidationError).  The recursive and direct methods
+    additionally require l + d >= 0; the brute-force oracle does not.
     """
 
     l: int
@@ -85,6 +86,8 @@ class TASpec:
     def __post_init__(self):
         _require_int(self.l, "l")
         _require_int(self.d, "d")
+        if not isinstance(self.ladder, LadderFunction):
+            raise ValidationError(f"ladder = {self.ladder!r} is not a LadderFunction")
         object.__setattr__(self, "start", as_point(self.start))
         object.__setattr__(self, "end", as_point(self.end))
         if self.d < 0:
@@ -140,8 +143,11 @@ def partition_border(ladder: LadderFunction) -> list[BorderPiece]:
     """Split the full boundary {(x, f(x)): 0 <= x <= a} into pieces.
 
     Every weakly increasing boundary admits this partition; jumps larger
-    than one simply separate pieces.
+    than one simply separate pieces.  A ladder that is no LadderFunction
+    raises ValidationError.
     """
+    if not isinstance(ladder, LadderFunction):
+        raise ValidationError(f"ladder = {ladder!r} is not a LadderFunction")
     return [
         BorderPiece(x_lo, x_hi, "diagonal" if diagonal else "horizontal", level)
         for x_lo, x_hi, diagonal, level in _runs(ladder.values, 0)
@@ -300,37 +306,30 @@ def _direct_row(ladder: LadderFunction, e1, e2, d,
     with weight C(rise, df) under the cut.  That is (width + 1) +
     (rise + 1) moves per pair and step, not their product.
 
-    Both passes also drop the pairs that cannot reach the end.  After step
-    i, e can still grow by at most R_e, the widths of the later steps, and f
-    by at most R_f, their rises, and only pairs with e - f = l are summed.
-    So a pair whose e - f lies outside [l - R_e, l + R_f] after step i, or
-    outside [l - R_e, l + R_f + rise] between its two passes, where f has
-    yet to take the step's rise, adds nothing to the answer.
+    Both passes also drop the pairs that cannot reach the end.  The widths
+    sum to w1 = |[alpha_1, eps_1]| and the rises to w2 = |[alpha_2, eps_2]|,
+    the slots of the two rows (an empty range has none), and only pairs
+    with e - f = l are summed.  Once the steps so far took (taken_e,
+    taken_f) of them, a pair whose e - f lies outside [l - w1 + taken_e,
+    l + w2 - taken_f] adds nothing; between a step's two passes, taken_e
+    holds the step's width, taken_f not yet its rise.
 
     The table after a step depends only on the steps so far and d, so the
     targets share it along the common prefix of their step sequences, a
     trie walked depth first.  A target forks off where its own clamp at
     alpha_2, or its own alpha_1, makes its next step differ from the shared
     one, and reads its answer off the table after its last step.  Each
-    step keeps the pairs that the cut of any target below it keeps, the
-    hull of their intervals, so every pair a target needs is kept: the cut
-    drops only pairs whose every extension misses e - f = l for every one
-    of those targets, so it is exact.  It uses no closed form.
+    step keeps the pairs that the interval of any target below it keeps,
+    the hull of those intervals, so every pair a target needs is kept: the
+    cut drops only pairs whose every extension misses e - f = l for every
+    one of those targets, so it is exact.  It uses no closed form.
     """
-    values = ladder.values
-    steps, cuts = [], []  # cuts[i][j]: (l - R_e, l + R_f) after step j
-    for l, a1, a2 in targets:
-        path = _direct_steps(values, a1, a2, e1, e2)
-        cut, r_e, r_f = [], 0, 0
-        for we, wf in reversed(path):
-            cut.append((l - r_e, l + r_f))
-            r_e, r_f = r_e + we, r_f + wf
-        steps.append(path)
-        cuts.append(cut[::-1])
+    steps = [_direct_steps(ladder.values, a1, a2, e1, e2) for _, a1, a2 in targets]
+    slots = [(l - max(0, e1 - a1 + 1), l + max(0, e2 - a2 + 1)) for l, a1, a2 in targets]
     answers: list[HalfPolynomial] = [HalfPolynomial()] * len(targets)
-    stack = [({(0, 0): 1}, 0, range(len(targets)))]
+    stack = [({(0, 0): 1}, 0, 0, 0, range(len(targets)))]
     while stack:
-        states, j, group = stack.pop()
+        states, j, taken_e, taken_f, group = stack.pop()
         forks: dict[tuple[int, int], list[int]] = {}
         for t in group:
             if j < len(steps[t]):
@@ -341,8 +340,8 @@ def _direct_row(ladder: LadderFunction, e1, e2, d,
                     {2 * e - l: weight for (e, f), weight in states.items() if e - f == l}
                 )
         for (we, wf), below in forks.items():
-            lo = min(cuts[t][j][0] for t in below)
-            hi = max(cuts[t][j][1] for t in below) + wf
+            lo = min(slots[t][0] for t in below) + taken_e + we
+            hi = max(slots[t][1] for t in below) - taken_f
             cbe = [comb(we, de) for de in range(we + 1)]
             cbf = [comb(wf, df) for df in range(wf + 1)]
             moved: dict[tuple[int, int], int] = {}
@@ -361,7 +360,7 @@ def _direct_row(ladder: LadderFunction, e1, e2, d,
                 for df in range(max(0, s - hi), min(wf, s + d, s - lo) + 1):
                     key = (e, f + df)
                     after[key] = get(key, 0) + weight * cbf[df]
-            stack.append((after, j + 1, below))
+            stack.append((after, j + 1, taken_e + we, taken_f + wf, below))
     return answers
 
 

@@ -82,7 +82,10 @@ class LadderFunction:
         return LadderFunction, (self.a, self.b, self.values)
 
     def value(self, x: int) -> int:
-        """f(x), extended by f(x) = f(0) for x < 0.  Undefined right of a."""
+        """f(x), extended by f(x) = f(0) for x < 0.  Undefined right of a.
+        x must be an ``int``, a bool excluded (ValidationError)."""
+        if type(x) is not int:
+            raise ValidationError(f"column x = {x!r} must be an integer")
         if x < 0:
             return self.values[0]
         if x > self.a:
@@ -140,8 +143,10 @@ def ladder_from_mask(mask: Sequence[Sequence[bool]]) -> LadderFunction:
     The mask uses matrix orientation (row 0 on top), with mask[i][j] true iff
     entry (i, j) survives.  Each column must be a contiguous run of true
     cells anchored at the bottom, and the run lengths must be weakly
-    increasing left to right; anything else is not an upper ladder.
+    increasing left to right; anything else, a mask that is not iterable
+    included, is not an upper ladder.
     """
+    mask = _as_tuple(mask, "mask", NotAnUpperLadder)
     nrows = len(mask)
     if nrows == 0 or len(mask[0]) == 0:
         raise NotAnUpperLadder("mask must be nonempty")
@@ -281,8 +286,14 @@ def endpoints_from_bivector(ladder: LadderFunction, m: Bivector) -> EndpointConf
 
     Path i (1-based) runs from (0, u_{n+1-i} - 1) to (a - v_{n+1-i} + 1, b).
     Two membership conditions keep every endpoint inside the region:
-    u_n <= f(0), and f(a - v_n + 1) = b + 1.
+    u_n <= f(0), and f(a - v_n + 1) = b + 1.  A ladder that is no
+    LadderFunction, or a minor that is no Bivector, raises ValidationError.
     """
+    if not isinstance(ladder, LadderFunction) or not isinstance(m, Bivector):
+        raise ValidationError(
+            f"need a LadderFunction and a Bivector, got {type(ladder).__name__} "
+            f"and {type(m).__name__}"
+        )
     a, b, n = ladder.a, ladder.b, m.n
     if m.u[-1] > ladder.value(0):
         raise EndpointOutsideLadder(
@@ -316,7 +327,10 @@ def validate_general_endpoints(
     that the boundary is constant on [0, x] up to the first start's column.
     The flatness is not silently repaired: rewriting user input would mask
     errors, and the caller can always pass the normalized ladder directly.
+    A ladder that is no LadderFunction raises ValidationError.
     """
+    if not isinstance(ladder, LadderFunction):
+        raise ValidationError(f"ladder = {ladder!r} is not a LadderFunction")
     pts_s = tuple(as_point(p) for p in starts)
     pts_e = tuple(as_point(p) for p in ends)
     for label, pts in (("start", pts_s), ("end", pts_e)):

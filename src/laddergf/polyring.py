@@ -36,8 +36,11 @@ def binomial(n: int, k: int) -> int:
     The convention: 0 for k < 0, 1 for k = 0 (even when n is negative),
     0 whenever n is negative and k is positive, 0 for 0 <= n < k, and the
     ordinary value otherwise.  The k = 0 case must be 1 for every n so that
-    degenerate empty-range choices count exactly one way.
+    degenerate empty-range choices count exactly one way.  n and k must be
+    ``int``s, a bool excluded (ValidationError).
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValidationError(f"binomial({n!r}, {k!r}) needs two integers")
     if k < 0:
         return 0
     if k == 0:
@@ -333,8 +336,10 @@ def series_expand(series: HilbertSeries, terms: int) -> list[int]:
     (1 - z)^(-e), built once by c_0 = 1, c_L = c_(L-1) (L - 1 + e) / L
     (an exact division; for e = 0 it gives 1, 0, 0, ...).  ``terms`` must
     be an ``int``, a bool excluded (ValidationError), and nonnegative
-    (ValueError).
+    (ValueError); a series that is no HilbertSeries raises ValidationError.
     """
+    if not isinstance(series, HilbertSeries):
+        raise ValidationError(f"series = {series!r} is not a HilbertSeries")
     _require_int(terms, "terms")
     if terms < 0:
         raise ValueError("terms must be nonnegative")

@@ -10,6 +10,7 @@ from laddergf import (
     ChainViolation,
     EndpointConfig,
     EndpointOutsideLadder,
+    HalfPolynomial,
     InvalidBivector,
     LatticePoint,
     NotAnUpperLadder,
@@ -18,10 +19,14 @@ from laddergf import (
     TASpec,
     ValidationError,
     ValueOutOfRange,
+    binomial,
     endpoints_from_bivector,
     gf_trivial,
+    hilbert_series,
     ladder_from_mask,
+    partition_border,
     path_gf,
+    series_expand,
     validate_general_endpoints,
     validate_ladder,
 )
@@ -266,10 +271,24 @@ _LAD = validate_ladder(2, 2, [2, 3, 3])
     (ValidationError, lambda: gf_trivial(0, (0, 0), (1.5, 1))),
     (ValidationError, lambda: _LAD.contains((0.5, 0))),
     (ValidationError, lambda: as_point((1, 2, 3))),
+    (ValidationError, lambda: binomial(True, 1)),
+    (ValidationError, lambda: binomial(2.5, 1)),
+    (ValidationError, lambda: _LAD.value(True)),
+    (ValidationError, lambda: _LAD.value(1.5)),
+    (ValidationError, lambda: TASpec(0, (0, 0), (1, 1), 0, "x")),
+    (ValidationError, lambda: hilbert_series(_LAD, ((1,), (1,)))),
+    (ValidationError, lambda: hilbert_series("x", Bivector((1,), (1,)))),
+    (ValidationError, lambda: validate_general_endpoints("x", [(0, 0)], [(1, 1)])),
+    (ValidationError, lambda: series_expand(HalfPolynomial((1,)), 3)),
+    (ValidationError, lambda: partition_border("x")),
+    (NotAnUpperLadder, lambda: ladder_from_mask(5)),
 ], ids=[
     "f=2.5", "f=3.0", "f=True", "a=1.0", "a=x", "u=1.5", "u='1'",
     "values=5", "u=1", "TASpec",
     "path_gf", "general_endpoints", "gf_trivial", "contains", "triple",
+    "binomial-n=True", "binomial-n=2.5", "value-x=True", "value-x=1.5",
+    "TASpec-ladder", "hilbert-minor", "hilbert-ladder", "general_endpoints-ladder",
+    "series_expand-series", "partition_border", "mask=5",
 ])
 def test_non_integer_input_rejected(error, call):
     """Every number of the model is an int: nothing is truncated, and a bool,
