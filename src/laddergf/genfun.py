@@ -63,7 +63,7 @@ from .errors import (
     ValidationError,
 )
 from .model import LadderFunction, LatticePoint, _require_int, as_point
-from .polyring import HalfPolynomial, _pack_terms, _unpack, binomial
+from .polyring import HalfPolynomial, _binomial, _pack_terms, _unpack
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def _diagonal_terms(l: int, a1: int, a2: int, e1: int, e2: int, D: int,
     term minus the reflected (bad) arrays with k second-row entries."""
     for j, c in _trivial_terms(l, a1, a2, e1, e2):
         k = (j - l) // 2
-        c -= binomial(e1 - a2 + D + 1, k - d - 1) * binomial(e2 - a1 - D + 1, k + l + d + 1)
+        c -= _binomial(e1 - a2 + D + 1, k - d - 1) * _binomial(e2 - a1 - D + 1, k + l + d + 1)
         if c:
             yield j, c
 
@@ -471,6 +471,16 @@ class _Engine:
     ends.  It shares no formula with the direct multi-sum, and
     ``direct == recursive`` checks two independent computations.
 
+    The peel skips its tails where none can hold an array.  The tail pinned
+    at j has type -d and its first row starts at j: that row has k - d >= 1
+    entries, so the second row has k >= d + 1 entries, all in [g(x), eps_2].
+    With d > eps_2 - g(x) that range has fewer slots, every pinned tail is
+    empty, and every difference tail - above is 0, so the loop over j adds
+    nothing and is not run.  The boundary terms read no tail and stay as
+    they are.  The engine's binomials come from ``polyring._binomial``,
+    which skips the public ``binomial``'s type check: its arguments are
+    ints by construction.
+
     The engine keeps the ladder's boundary tuple ``values``, not the
     ladder.  The boundary clamped into [alpha_2, eps_2 + 1] is a function of
     the numeric parameters alone, so the memo key is just the parameter
@@ -594,14 +604,17 @@ class _Engine:
         acc = 0
         # pinned-start tail on [j, eps_1] = start j minus start j + 1; from
         # start eps_1 + 1 the first row is empty and the d second-row entries
-        # in [f(x), eps_2] pair with nothing
-        above = binomial(e2 - fx + 1, d) << (self.k * d)
-        for j in range(e1, x, -1):
-            tail = self.eval(-d, j, fx, e1, e2, d)
-            acc += self.eval(l + d, a1, a2, j - 1, fx - 1, 0) * (tail - above)
-            above = tail
+        # in [f(x), eps_2] pair with nothing.  A tail's nonempty first row
+        # needs d + 1 second-row entries in [f(x), eps_2]: with fewer slots
+        # every tail is empty, so the peel adds nothing
+        if d <= e2 - fx:
+            above = _binomial(e2 - fx + 1, d) << (self.k * d)
+            for j in range(e1, x, -1):
+                tail = self.eval(-d, j, fx, e1, e2, d)
+                acc += self.eval(l + d, a1, a2, j - 1, fx - 1, 0) * (tail - above)
+                above = tail
         for e in range(0, d + 1):
-            c = binomial(e2 - fx + 1, d - e)
+            c = _binomial(e2 - fx + 1, d - e)
             if c:
                 acc += (self.eval(l + d - e, a1, a2, e1, fx - 1, e) * c) << (self.k * (d - e))
         return acc

@@ -86,20 +86,21 @@ def array_candidates(spec: TASpec) -> int:
     return binomial(w1 + w2, w2 + spec.l)
 
 
-def enumerate_arrays(spec: TASpec, size_cap: int = 64) -> HalfPolynomial:
+def enumerate_arrays(spec: TASpec, size_cap: int | None = None) -> HalfPolynomial:
     """Sum of q^|T| over every two-rowed array admitted by the spec.
 
     Generates all strictly increasing row pairs within the bounds and keeps
     those satisfying b_s < f(a_{s+d}) wherever both entries exist.  Row
     lengths are k + l and k; raises CapExceeded when the largest feasible k
-    exceeds size_cap, and InstanceTooLarge, before building any row, when
-    ``array_candidates`` exceeds ORACLE_ARRAY_GUARD.
+    exceeds size_cap, if one is given, and InstanceTooLarge, before building
+    any row, when ``array_candidates`` exceeds ORACLE_ARRAY_GUARD, which
+    bounds the work whatever the row lengths.
     """
     lad, l, d = spec.ladder, spec.l, spec.d
     a1, a2 = spec.start
     e1, e2 = spec.end
     kmax = min(max(0, e1 - a1 + 1) - l, max(0, e2 - a2 + 1))
-    if kmax > size_cap:
+    if size_cap is not None and kmax > size_cap:
         raise CapExceeded(f"maximum second-row length {kmax} exceeds cap {size_cap}")
     candidates = array_candidates(spec)
     if candidates > ORACLE_ARRAY_GUARD:

@@ -15,7 +15,10 @@ polynomial at 2^k, ``_pack_terms`` packs (exponent, coefficient) terms
 and rejects a coefficient that is not a digit (the ``genfun`` recursive
 engine packs its closed forms with it), ``_unpack`` reads unsigned digits
 back (the pipeline determinant and the recursive engine both use it), and
-``_bareiss`` eliminates on the packed integers.
+``_bareiss`` eliminates on the packed integers.  ``_binomial`` is
+``binomial`` without its type check, for the recursive engine's hot path,
+whose arguments are ints by construction; the public ``binomial`` stays
+checked.
 
 Everything here is immutable and pure; concurrent callers need no locks.
 """
@@ -41,6 +44,11 @@ def binomial(n: int, k: int) -> int:
     """
     if type(n) is not int or type(k) is not int:
         raise ValidationError(f"binomial({n!r}, {k!r}) needs two integers")
+    return _binomial(n, k)
+
+
+def _binomial(n: int, k: int) -> int:
+    """``binomial`` without its type check, for ints by construction."""
     if k < 0:
         return 0
     if k == 0:

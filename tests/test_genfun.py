@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from laddergf import (
+    Bivector,
     BorderPiece,
     EndpointOutsideLadder,
     HalfPolynomial,
@@ -20,6 +21,7 @@ from laddergf import (
     TASpec,
     ValidationError,
     binomial,
+    endpoints_from_bivector,
     enumerate_arrays,
     gf_diagonal,
     gf_direct,
@@ -610,6 +612,83 @@ def test_vacuous_ends_the_recursion_left_of_column_0():
     spec = TASpec(0, (-1, 0), (-1, 0), 0, lad)
     engine = _Engine(lad, [spec])
     assert engine.gf(spec) == enumerate_arrays(spec) == P([1, 0, 1])
+
+
+def _fresh_shaped_ladder(rng: random.Random, a: int, n: int):
+    """An a x a ladder shaped like the benchmark's fresh ones, and the
+    widths (h0, tail) of its first column and flat top block: short
+    diagonal climbs from f(0) = h0 in n..n+3, a last diagonal run of 3-8
+    columns ending 2-3 rows under a + 1, then a top block n..n+3 wide."""
+    while True:
+        h0, tail, final = rng.randint(n, n + 3), rng.randint(n, n + 3), rng.randint(3, 8)
+        top = a + 1 - rng.randint(2, 3)
+        values = [h0]
+        while len(values) < a + 1 - tail - final:
+            values.append(values[-1] + rng.choice((0, 1, 1, 1, 2)))
+        # the last run must not extend a diagonal of the climb
+        if values[-1] == top - final + 1 or values[-1] <= top - final - 1:
+            values += list(range(top - final + 1, top + 1)) + [a + 1] * tail
+            return validate_ladder(a, a, values), h0, tail
+
+
+def test_peel_requests_no_empty_pinned_tail():
+    """On ladders shaped like the benchmark's fresh ones, the peel never asks
+    for a pinned tail (-d, j, f(x), eps_1, eps_2, d) with d > eps_2 - f(x):
+    its nonempty first row would need d + 1 second-row entries in
+    [f(x), eps_2], so every such tail is empty and adds nothing.  A tail is
+    the one request that keeps its caller's (eps_1, eps_2, d).  Offsets
+    reach 10 and more, and every matrix entry equals the direct engine's."""
+    rng = random.Random(2611)
+    tails = max_d = 0
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        lad, h0, tail = _fresh_shaped_ladder(rng, rng.randint(16, 22), n)
+        m = Bivector(tuple(sorted(rng.sample(range(1, h0 + 1), n))),
+                     tuple(sorted(rng.sample(range(1, tail + 1), n))))
+        specs = [spec for row in matrix_specs(lad, endpoints_from_bivector(lad, m))
+                 for spec in row]
+        engine = _Engine(lad, specs)
+        callers, requests = [None], []
+        evaluate = engine.eval
+
+        def spy(*key):
+            requests.append((callers[-1], key))
+            callers.append(key)
+            try:
+                return evaluate(*key)
+            finally:
+                callers.pop()
+
+        engine.eval = spy
+        for spec in specs:
+            assert engine.gf(spec) == gf_direct(spec), spec
+        for caller, (l, j, fx, e1, e2, d) in requests:
+            max_d = max(max_d, d)
+            if caller is not None and caller[3:] == (e1, e2, d):
+                assert l == -d and d <= e2 - fx, (caller, (l, j, fx, e1, e2, d))
+                tails += 1
+    assert tails >= 1000 and max_d >= 10, (tails, max_d)
+
+
+def test_pinned_tails_past_the_slot_bound_are_empty():
+    """By enumeration on small ladders: arrays of type -d whose first row
+    starts exactly at alpha_1 need d + 1 second-row slots, so with
+    d > eps_2 - alpha_2 there are none, while at d = eps_2 - alpha_2 some
+    windows hold one."""
+    rng = random.Random(2612)
+    tight = 0
+    for _ in range(40):
+        lad = random_ladder(rng, amax=5, bmax=5, amin=1, bmin=1)
+        e1, e2 = rng.randint(0, lad.a), rng.randint(0, lad.b)
+        j, a2 = rng.randint(0, e1), rng.randint(0, e2)
+        for d in range(e2 - a2, e2 - a2 + 3):
+            pinned = (enumerate_arrays(TASpec(-d, (j, a2), (e1, e2), d, lad))
+                      - enumerate_arrays(TASpec(-d, (j + 1, a2), (e1, e2), d, lad)))
+            if d > e2 - a2:
+                assert pinned.is_zero(), (lad, j, a2, e1, e2, d)
+            else:
+                tight += not pinned.is_zero()
+    assert tight >= 5, tight
 
 
 def test_sliced_boundary_matches_per_column_clamp():

@@ -74,6 +74,14 @@ def test_enumerate_arrays_cap():
         enumerate_arrays(spec, size_cap=4)
 
 
+def test_enumerate_arrays_long_rows_pass_by_default():
+    """Only the guard bounds the work by default: one candidate array with a
+    second row of 65 entries is enumerated, not refused for its length."""
+    spec = TASpec(-65, (0, 0), (-1, 64), 0, validate_ladder(0, 70, [71]))
+    assert array_candidates(spec) == 1
+    assert enumerate_arrays(spec) == P.monomial(65)
+
+
 def test_enumerate_arrays_guard_raises_before_enumerating():
     """C(80, 40), about 1.1e23, candidate arrays pass the row-length cap;
     the guard refuses them at once instead of running without end."""

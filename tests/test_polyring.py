@@ -17,7 +17,7 @@ from laddergf import (
     series_expand,
     to_z_polynomial,
 )
-from laddergf.polyring import _pack, _unpack
+from laddergf.polyring import _binomial, _pack, _unpack
 
 P = HalfPolynomial
 
@@ -157,6 +157,14 @@ def test_binomial_convention():
     assert binomial(4, -1) == 0
     assert binomial(-1, -1) == 0
     assert binomial(6, 2) == 15
+
+
+def test_unchecked_binomial_equals_binomial():
+    """The engine's unchecked ``_binomial`` keeps the public convention,
+    negative arguments included."""
+    for n in range(-6, 13):
+        for k in range(-6, 13):
+            assert _binomial(n, k) == binomial(n, k), (n, k)
 
 
 def test_binomial_pascal_rule():

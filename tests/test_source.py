@@ -78,6 +78,18 @@ def test_engines_share_no_counting_code():
     assert "_direct_steps" in _reachable(tree, "_direct_row")
 
 
+def test_engine_calls_only_the_unchecked_binomial():
+    """The recursive engine (``_Engine``, and everything it names, such as
+    ``_diagonal_terms``) calls ``_binomial``, whose arguments are ints by
+    construction, and never the public, type-checked ``binomial``."""
+    path = Path(laddergf.__file__).parent / "genfun.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "_diagonal_terms" in _reachable(tree, "_Engine")
+    for root in ("_Engine", "_diagonal_terms"):
+        reached = _reachable(tree, root)
+        assert "_binomial" in reached and "binomial" not in reached, (root, reached)
+
+
 def test_package_docstring_example_runs():
     """The ``>>>`` example in ``laddergf.__doc__`` runs and holds: tier-1
     collects only ``tests/``, so no doctest collection reaches it."""
