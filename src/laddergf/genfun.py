@@ -476,10 +476,11 @@ class _Engine:
     entries, so the second row has k >= d + 1 entries, all in [g(x), eps_2].
     With d > eps_2 - g(x) that range has fewer slots, every pinned tail is
     empty, and every difference tail - above is 0, so the loop over j adds
-    nothing and is not run.  The boundary terms read no tail and stay as
-    they are.  The engine's binomials come from ``polyring._binomial``,
-    which skips the public ``binomial``'s type check: its arguments are
-    ints by construction.
+    nothing and is not run.  The boundary term of offset e puts d - e
+    unpaired top entries in [g(x), eps_2], in C(eps_2 - g(x) + 1, d - e)
+    ways, so its loop starts where that is nonzero.  g(x) <= eps_2 at every
+    peel, so these binomials and that of ``above`` are ordinary: ``comb``.
+    Only the reflection form needs the extended ``polyring._binomial``.
 
     The engine keeps the ladder's boundary tuple ``values``, not the
     ladder.  The boundary clamped into [alpha_2, eps_2 + 1] is a function of
@@ -608,15 +609,14 @@ class _Engine:
         # needs d + 1 second-row entries in [f(x), eps_2]: with fewer slots
         # every tail is empty, so the peel adds nothing
         if d <= e2 - fx:
-            above = _binomial(e2 - fx + 1, d) << (self.k * d)
+            above = comb(e2 - fx + 1, d) << (self.k * d)
             for j in range(e1, x, -1):
                 tail = self.eval(-d, j, fx, e1, e2, d)
                 acc += self.eval(l + d, a1, a2, j - 1, fx - 1, 0) * (tail - above)
                 above = tail
-        for e in range(0, d + 1):
-            c = _binomial(e2 - fx + 1, d - e)
-            if c:
-                acc += (self.eval(l + d - e, a1, a2, e1, fx - 1, e) * c) << (self.k * (d - e))
+        for e in range(max(0, d - (e2 - fx + 1)), d + 1):
+            c = comb(e2 - fx + 1, d - e)
+            acc += (self.eval(l + d - e, a1, a2, e1, fx - 1, e) * c) << (self.k * (d - e))
         return acc
 
 

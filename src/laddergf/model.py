@@ -86,11 +86,9 @@ class LadderFunction:
         x must be an ``int``, a bool excluded (ValidationError)."""
         if type(x) is not int:
             raise ValidationError(f"column x = {x!r} must be an integer")
-        if x < 0:
-            return self.values[0]
         if x > self.a:
             raise ValueError(f"boundary undefined at x={x} > a={self.a}")
-        return self.values[x]
+        return self.values[max(x, 0)]
 
     def contains(self, point) -> bool:
         """Is the point in the region (flat extension applying for x < 0)?"""

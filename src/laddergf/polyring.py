@@ -16,9 +16,9 @@ and rejects a coefficient that is not a digit (the ``genfun`` recursive
 engine packs its closed forms with it), ``_unpack`` reads unsigned digits
 back (the pipeline determinant and the recursive engine both use it), and
 ``_bareiss`` eliminates on the packed integers.  ``_binomial`` is
-``binomial`` without its type check, for the recursive engine's hot path,
-whose arguments are ints by construction; the public ``binomial`` stays
-checked.
+``binomial`` without its type check, for the reflection form of the
+recursive engine, whose arguments are ints by construction but leave the
+ordinary range; the public ``binomial`` stays checked.
 
 Everything here is immutable and pure; concurrent callers need no locks.
 """
@@ -53,7 +53,7 @@ def _binomial(n: int, k: int) -> int:
         return 0
     if k == 0:
         return 1
-    if n < 0 or n < k:
+    if n < k:
         return 0
     return math.comb(n, k)
 

@@ -1,6 +1,8 @@
-"""Shared fixtures: the worked flagship instance and random samplers."""
+"""Shared fixtures: the worked flagship instance, random samplers and
+independent determinant oracles."""
 
 import random
+from fractions import Fraction
 
 from laddergf import (
     Bivector,
@@ -174,6 +176,24 @@ def laplace_det(rows) -> HalfPolynomial:
         return memo[cols]
 
     return minor(tuple(range(n)))
+
+
+def rational_det(rows):
+    """Determinant by exact Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            ratio = m[r][i] / m[i][i]
+            m[r] = [x - ratio * y for x, y in zip(m[r], m[i])]
+    return det
 
 
 def hadamard_determinant(entries) -> HalfPolynomial:

@@ -26,13 +26,12 @@ far beyond the brute-force oracle:
 """
 
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
 
 from laddergf import Bivector, hilbert_series, series_expand, validate_ladder
-from helpers import random_bivector, random_corollary_ladder
+from helpers import random_bivector, random_corollary_ladder, rational_det
 
 
 def _low_degree_check(ladder, n):
@@ -64,29 +63,11 @@ def test_low_degrees_climbing_ladders():
         _low_degree_check(validate_ladder(a, b, f), n)
 
 
-def _det(rows):
-    """Determinant by exact Gaussian elimination over the rationals."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for i in range(len(m)):
-        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            det = -det
-        det *= m[i][i]
-        for r in range(i + 1, len(m)):
-            ratio = m[r][i] / m[i][i]
-            m[r] = [x - ratio * y for x, y in zip(m[r], m[i])]
-    return det
-
-
 def _rectangle_check(m, N, t):
     ladder = validate_ladder(m - 1, N - 1, [N] * m)
     series = hilbert_series(ladder, Bivector(range(1, t), range(1, t)))
     h = series.z_coefficients
-    assert series.multiplicity == _det(
+    assert series.multiplicity == rational_det(
         [[comb(m + N - i - j, m - i) for j in range(1, t)] for i in range(1, t)]
     )
     assert len(h) - 1 - series.denom_exponent == -(t - 1) * N

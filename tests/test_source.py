@@ -90,6 +90,20 @@ def test_engine_calls_only_the_unchecked_binomial():
         assert "_binomial" in reached and "binomial" not in reached, (root, reached)
 
 
+def test_engine_peel_takes_ordinary_binomials():
+    """The body of ``_Engine`` names ``comb`` and not ``_binomial``: every
+    binomial of the peel is in the ordinary range, and only the reflection
+    form ``_diagonal_terms`` needs the extended convention of ``_binomial``."""
+    path = Path(laddergf.__file__).parent / "genfun.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Engine")
+    named = {node.id for node in ast.walk(engine) if isinstance(node, ast.Name)}
+    assert "comb" in named and "_diagonal_terms" in named, named
+    reached = set().union(*(_reachable(tree, name) for name in named - {"_diagonal_terms"}))
+    assert "_binomial" not in reached, reached
+
+
 def test_package_docstring_example_runs():
     """The ``>>>`` example in ``laddergf.__doc__`` runs and holds: tier-1
     collects only ``tests/``, so no doctest collection reaches it."""
