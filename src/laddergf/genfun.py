@@ -63,7 +63,7 @@ from .errors import (
     ValidationError,
 )
 from .model import LadderFunction, LatticePoint, _require_int, as_point
-from .polyring import HalfPolynomial, _binomial, _pack_terms, _unpack
+from .polyring import HalfPolynomial, _binomial, _digits, _pack_terms, _spread
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,8 @@ def _pinned(value, l: int, alpha, eps, *rest) -> HalfPolynomial:
 
 
 def _trivial_terms(l: int, a1: int, a2: int, e1: int, e2: int) -> Iterator[tuple[int, int]]:
-    """The nonzero terms (q-exponent, coefficient) of ``gf_trivial``, ascending.
+    """The nonzero terms of ``gf_trivial``, ascending, as (k, c): c arrays
+    with k second-row entries, the coefficient of q^(2k + l).
 
     A range of negative width holds no entry, like an empty one; on the
     widths w1, w2 >= 0 the terms with 0 <= k + l <= w1 and 0 <= k <= w2 are
@@ -188,7 +189,7 @@ def _trivial_terms(l: int, a1: int, a2: int, e1: int, e2: int) -> Iterator[tuple
     """
     w1, w2 = max(0, e1 - a1 + 1), max(0, e2 - a2 + 1)
     for k in range(max(0, -l), min(w1 - l, w2) + 1):
-        yield 2 * k + l, comb(w1, k + l) * comb(w2, k)
+        yield k, comb(w1, k + l) * comb(w2, k)
 
 
 def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
@@ -202,7 +203,9 @@ def gf_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
     _require_int(l, "l")
     _require_int(d, "d")
     alpha, eps = as_point(alpha), as_point(eps)
-    return HalfPolynomial.from_dict(dict(_trivial_terms(l, alpha.x, alpha.y, eps.x, eps.y)))
+    return HalfPolynomial.from_dict(
+        {2 * k + l: c for k, c in _trivial_terms(l, alpha.x, alpha.y, eps.x, eps.y)}
+    )
 
 
 def gf_star_trivial(l: int, alpha, eps, d: int = 0) -> HalfPolynomial:
@@ -228,14 +231,14 @@ def _check_diagonal_pre(l, alpha, eps, D, d):
 
 def _diagonal_terms(l: int, a1: int, a2: int, e1: int, e2: int, D: int,
                     d: int) -> Iterator[tuple[int, int]]:
-    """The nonzero terms (q-exponent, coefficient) of ``gf_diagonal``,
-    ascending, for parameters that meet its preconditions: each unrestricted
-    term minus the reflected (bad) arrays with k second-row entries."""
-    for j, c in _trivial_terms(l, a1, a2, e1, e2):
-        k = (j - l) // 2
+    """The nonzero terms of ``gf_diagonal``, ascending, as (k, c) like those
+    of ``_trivial_terms``, for parameters that meet its preconditions: each
+    unrestricted term minus the reflected (bad) arrays with k second-row
+    entries."""
+    for k, c in _trivial_terms(l, a1, a2, e1, e2):
         c -= _binomial(e1 - a2 + D + 1, k - d - 1) * _binomial(e2 - a1 - D + 1, k + l + d + 1)
         if c:
-            yield j, c
+            yield k, c
 
 
 def gf_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
@@ -245,7 +248,7 @@ def gf_diagonal(l: int, alpha, eps, D: int, d: int) -> HalfPolynomial:
     alpha, eps = as_point(alpha), as_point(eps)
     _check_diagonal_pre(l, alpha, eps, D, d)
     return HalfPolynomial.from_dict(
-        dict(_diagonal_terms(l, alpha.x, alpha.y, eps.x, eps.y, D, d))
+        {2 * k + l: c for k, c in _diagonal_terms(l, alpha.x, alpha.y, eps.x, eps.y, D, d)}
     )
 
 
@@ -296,7 +299,7 @@ def _direct_row(ladder: LadderFunction, e1, e2, d,
     one of the at most d unpaired top entries: the coupling reduces to
     f_i <= e_i + d per block, the top layer included.
     Rows within a block are free binomial choices, and the term weight is
-    q^(2 e_kappa - l).  A summand depends on the earlier steps only through
+    q^(2 f_kappa + l).  A summand depends on the earlier steps only through
     the running pair (e_i, f_i), so the sum runs forward over the steps on
     a table mapping each pair to its summed weight: at most
     (eps_1 - alpha_1 + 2) * (eps_2 - alpha_2 + 2) pairs, instead of one
@@ -326,7 +329,7 @@ def _direct_row(ladder: LadderFunction, e1, e2, d,
     """
     steps = [_direct_steps(ladder.values, a1, a2, e1, e2) for _, a1, a2 in targets]
     slots = [(l - max(0, e1 - a1 + 1), l + max(0, e2 - a2 + 1)) for l, a1, a2 in targets]
-    answers: list[HalfPolynomial] = [HalfPolynomial()] * len(targets)
+    answers: list = [None] * len(targets)  # each set where its target's steps end
     stack = [({(0, 0): 1}, 0, 0, 0, range(len(targets)))]
     while stack:
         states, j, taken_e, taken_f, group = stack.pop()
@@ -335,10 +338,13 @@ def _direct_row(ladder: LadderFunction, e1, e2, d,
             if j < len(steps[t]):
                 forks.setdefault(steps[t][j], []).append(t)
             else:
+                # the weights of e - f = l by f, at most the target's w2
                 l = targets[t][0]
-                answers[t] = HalfPolynomial.from_dict(
-                    {2 * e - l: weight for (e, f), weight in states.items() if e - f == l}
-                )
+                by_f = [0] * (slots[t][1] - l + 1)
+                for (e, f), weight in states.items():
+                    if e - f == l:
+                        by_f[f] = weight
+                answers[t] = _spread(by_f, l)
         for (we, wf), below in forks.items():
             lo = min(slots[t][0] for t in below) + taken_e + we
             hi = max(slots[t][1] for t in below) - taken_f
@@ -408,19 +414,26 @@ class _Engine:
     """Memoized recursion over one fixed ladder, on packed integers.
 
     Every value the engine computes, memoizes and combines is one
-    nonnegative int: the generating function evaluated at q = 2^k, k fixed
-    per engine.  A product of generating functions is then one big-int
-    product, a sum one addition, a factor q^j a shift by k*j bits, and the
-    zero test ``not v``.  This is exact, with no carry or borrow between
-    packed digits, as long as every coefficient of every value stays in
-    [0, 2^k).  Each value counts arrays whose rows are subsets of its two
-    ranges, and every sub-problem's ranges lie inside its caller's, so
-    every coefficient of every value, running sum and product is a count
-    of a subset of the top-level set: nonnegative and at most 2^W
-    (``_row_slots``), W the largest over the specs the engine serves.  So
-    k = W + 1.  Base cases are two closed forms, packed by ``_pack_terms``
-    straight from their term generators, which rejects a coefficient
-    outside [0, 2^k): the form of ``gf_trivial`` where ``_vacuous`` finds
+    nonnegative int whose base-2^k digit i, k fixed per engine, is the
+    number of the set's arrays with i second-row entries.  An array of
+    type l with i second-row entries has size 2i + l, so digit i is the
+    coefficient of q^(2i + l): the value is the generating function divided
+    by q^l, in z = q^2, at z = 2^k.  ``gf`` spreads the digits back to
+    those q-exponents; half of the q-exponents of a type have no arrays,
+    and this packing stores none of them.  A product of generating
+    functions is then one big-int product (the second-row lengths of two
+    glued parts add), a sum one addition, i more second-row entries a
+    shift by k*i bits, and the zero test ``not v``.  This is exact, with
+    no carry or borrow between packed digits, as long as every digit of
+    every value stays in [0, 2^k).  Each value counts arrays whose rows are
+    subsets of its two ranges, and every sub-problem's ranges lie inside
+    its caller's, so every digit of every value, running sum and product
+    is a count of a subset of the top-level set: nonnegative and at most
+    2^W (``_row_slots``), W the largest over the specs the engine serves.
+    So k = W + 1.  Base cases are two closed forms, packed by
+    ``_pack_terms`` straight from their term generators, which give their
+    terms by second-row length and reject a coefficient outside [0, 2^k):
+    the form of ``gf_trivial`` where ``_vacuous`` finds
     that the coupling cannot bind (an empty first row included), and that
     of ``gf_diagonal`` for one diagonal run that meets the reflection
     hypothesis (eps_1 + D + 1 + d >= eps_2; its other hypothesis,
@@ -439,9 +452,10 @@ class _Engine:
     The boundary at a first-row entry there exceeds every second-row
     entry, so every pair the entry is in holds; such entries are the top m
     of the first row, and removing them leaves an array of type l - m and
-    offset d + m on [alpha_1, t - 1].  So the value is the sum over m of
-    C(eps_1 - t + 1, m) q^m times that sub-value: each term keeps
-    l + d >= 0 and counts a disjoint subset of the caller's arrays.
+    offset d + m on [alpha_1, t - 1] with the same second row.  So the
+    value is the sum over m of C(eps_1 - t + 1, m) times that sub-value,
+    unshifted: each term keeps l + d >= 0 and counts a disjoint subset of
+    the caller's arrays.
     Without this step every peel's prefix windows, which end in such
     columns, would be peeled again one column at a time.
 
@@ -478,7 +492,8 @@ class _Engine:
     empty, and every difference tail - above is 0, so the loop over j adds
     nothing and is not run.  The boundary term of offset e puts d - e
     unpaired top entries in [g(x), eps_2], in C(eps_2 - g(x) + 1, d - e)
-    ways, so its loop starts where that is nonzero.  g(x) <= eps_2 at every
+    ways, so its value is shifted by d - e digits, and its loop starts
+    where that weight is nonzero.  g(x) <= eps_2 at every
     peel, so these binomials and that of ``above`` are ordinary: ``comb``.
     Only the reflection form needs the extended ``polyring._binomial``.
 
@@ -516,7 +531,7 @@ class _Engine:
                 f"at most {self.k - 1}"
             )
         v = self.eval(spec.l, spec.start.x, spec.start.y, spec.end.x, spec.end.y, spec.d)
-        return _unpack(v, self.k)
+        return _spread(_digits(v, self.k), spec.l)
 
     def _pieces(self, a1, a2, e1, e2) -> list[tuple[int, int, bool, int]]:
         """``_runs`` of the boundary on columns a1..e1, clamped column by
@@ -592,8 +607,7 @@ class _Engine:
             w = e1 - t + 1
             acc = 0
             for m in range(0, min(w, e2 - a2 + 1 + l) + 1):
-                v = self.eval(l - m, a1, a2, t - 1, e2, d + m)
-                acc += (v * comb(w, m)) << (self.k * m)
+                acc += self.eval(l - m, a1, a2, t - 1, e2, d + m) * comb(w, m)
             return acc
         x, diagonal, level = self._last_run(a1, a2, e1, e2)
         if x < a1:  # one run fills the window

@@ -29,7 +29,7 @@ from .model import (
     endpoints_from_bivector,
     validate_general_endpoints,
 )
-from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _pack, _unpack
+from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _digits, _pack
 
 METHODS = ("recursive", "direct")  # the default first
 
@@ -115,7 +115,7 @@ class GFMatrix:
             raise MismatchFound(
                 f"the {part} part of the determinant is negative at z^2 = 4^{b}, "
                 "so it does not count path families")
-        even_coeffs, odd_coeffs = _unpack(even, 2 * b).coeffs, _unpack(odd, 2 * b).coeffs
+        even_coeffs, odd_coeffs = _digits(even, 2 * b), _digits(odd, 2 * b)
         total = sum(even_coeffs) + sum(odd_coeffs)
         if total != families:
             raise MismatchFound(
@@ -126,7 +126,7 @@ class GFMatrix:
         q_coeffs = [0] * (4 * max(len(even_coeffs), len(odd_coeffs)))
         q_coeffs[:4 * len(even_coeffs):4] = even_coeffs
         q_coeffs[2:4 * len(odd_coeffs):4] = odd_coeffs
-        return HalfPolynomial(q_coeffs[2 * (self.n // 2):])
+        return HalfPolynomial._unchecked(q_coeffs[2 * (self.n // 2):])
 
 
 def matrix_specs(ladder: LadderFunction, cfg: EndpointConfig) -> list[list[TASpec]]:

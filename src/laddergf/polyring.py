@@ -11,14 +11,19 @@ any signed matrix; the pipeline determinant (``GFMatrix.determinant``) takes
 it from the number D of path families, and describes its packing there.
 
 This module owns that base-2^k digit format: ``_pack`` evaluates a
-polynomial at 2^k, ``_pack_terms`` packs (exponent, coefficient) terms
+polynomial at 2^k, ``_pack_terms`` packs (digit index, coefficient) terms
 and rejects a coefficient that is not a digit (the ``genfun`` recursive
-engine packs its closed forms with it), ``_unpack`` reads unsigned digits
-back (the pipeline determinant and the recursive engine both use it), and
-``_bareiss`` eliminates on the packed integers.  ``_binomial`` is
-``binomial`` without its type check, for the reflection form of the
-recursive engine, whose arguments are ints by construction but leave the
-ordinary range; the public ``binomial`` stays checked.
+engine packs its closed forms with it, indexed by second-row length),
+``_digits`` reads unsigned digits back (the pipeline determinant and the
+recursive engine both use it), ``_spread`` places the digits of a type-l
+generating function at q^l, q^(l + 2), ..., as the recursive engine reads
+its values, and ``_bareiss`` eliminates on the packed integers.
+``HalfPolynomial._unchecked`` builds the library's own polynomials, whose
+coefficients are ints by construction, without the public constructor's
+type test.  ``_binomial`` is ``binomial`` without its type check, for the
+reflection form of the recursive engine, whose arguments are ints by
+construction but leave the ordinary range; the public ``binomial`` stays
+checked.
 
 Everything here is immutable and pure; concurrent callers need no locks.
 """
@@ -78,10 +83,15 @@ class HalfPolynomial:
         if not set(map(type, cs)) <= {int}:
             for i, c in enumerate(cs):
                 _require_int(c, f"coefficient {i}", index=i)
-        n = len(cs)
-        while n and cs[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", cs[:n])
+        object.__setattr__(self, "coeffs", _trimmed(cs))
+
+    @classmethod
+    def _unchecked(cls, coeffs: Sequence[int]) -> "HalfPolynomial":
+        """The constructor without its per-coefficient type test, for the
+        library's own coefficients, which are ints by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", _trimmed(tuple(coeffs)))
+        return p
 
     @classmethod
     def zero(cls) -> "HalfPolynomial":
@@ -166,6 +176,14 @@ class HalfPolynomial:
         return _format_poly(self.coeffs, "q")
 
 
+def _trimmed(cs: tuple[int, ...]) -> tuple[int, ...]:
+    """cs without its trailing zeros: the canonical form."""
+    n = len(cs)
+    while n and cs[n - 1] == 0:
+        n -= 1
+    return cs[:n]
+
+
 def _format_poly(coeffs: Sequence[int], var: str) -> str:
     """Coefficients of var^0, var^1, ... as a sum such as "1 - 2*q + q^3"."""
     parts = []
@@ -192,21 +210,22 @@ def _pack(coeffs: Sequence[int], k: int) -> int:
 
 
 def _pack_terms(terms: Iterable[tuple[int, int]], k: int) -> int:
-    """The sum of c * 2^(k*e) over the terms (e, c), exponents distinct.
+    """The sum of c * 2^(k*i) over the terms (i, c), digit indices distinct.
 
     Raises ValueError unless every coefficient is a base-2^k digit
     (0 <= c < 2^k): anything else would spill into its neighbours.
     """
     v = 0
-    for e, c in terms:
+    for i, c in terms:
         if c < 0 or c >> k:
             raise ValueError(f"coefficient {c} is not a base-2^{k} digit")
-        v |= c << (k * e)
+        v |= c << (k * i)
     return v
 
 
-def _unpack(v: int, k: int) -> HalfPolynomial:
-    """The polynomial whose base-2^k digits are v's; inverse of ``_pack``.
+def _digits(v: int, k: int) -> list[int]:
+    """The base-2^k digits of v, least significant first, the last one
+    nonzero.
 
     Raises ValueError on a negative v, which no digit string represents,
     and on k < 1, which has no digits to read.
@@ -214,15 +233,27 @@ def _unpack(v: int, k: int) -> HalfPolynomial:
     if v < 0 or k < 1:
         raise ValueError(f"cannot read packed value {v} in base 2^{k}")
     mask = (1 << k) - 1
-    coeffs = []
+    digits = []
     while v:
-        coeffs.append(v & mask)
+        digits.append(v & mask)
         v >>= k
-    # ints whose last one is v's nonzero top digit: the canonical form,
-    # built without the constructor's per-coefficient type test
-    p = object.__new__(HalfPolynomial)
-    object.__setattr__(p, "coeffs", tuple(coeffs))
-    return p
+    return digits
+
+
+def _spread(digits: Sequence[int], l: int) -> HalfPolynomial:
+    """The polynomial whose q^(2i + l) coefficient is digits[i]: a generating
+    function of two-rowed arrays of type l, given by second-row length.
+
+    An array of type l with i second-row entries has a first row of i + l
+    entries, so the digits below -l of such a function are zero; a nonzero
+    one, which no array gives, raises ValueError.
+    """
+    low = max(0, -l)
+    if any(digits[:low]):
+        raise ValueError(f"a type-{l} function has a nonzero digit below {low}")
+    coeffs = [0] * max(0, 2 * len(digits) + l - 1)
+    coeffs[2 * low + l::2] = digits[low:]
+    return HalfPolynomial._unchecked(coeffs)
 
 
 def _bareiss(m: list[list[int]]) -> int:

@@ -44,16 +44,19 @@ from laddergf.genfun import (
     gf_direct_row,
 )
 from laddergf.hilbert import matrix_specs
-from laddergf.polyring import _pack_terms, _unpack
+from laddergf.polyring import _digits, _pack_terms
 from helpers import flagship_ladder, random_ladder, random_taspec_wide
 
 P = HalfPolynomial
 
 
-def _packed(p: HalfPolynomial, k: int) -> int:
-    """p at q = 2^k; raises ValueError unless every coefficient is a
-    base-2^k digit."""
-    return _pack_terms(enumerate(p.coeffs), k)
+def _packed(p: HalfPolynomial, l: int, k: int) -> int:
+    """A generating function of type l in the recursive engine's format: its
+    q^(2i + l) coefficient at base-2^k digit i.  Raises ValueError unless
+    every coefficient is a base-2^k digit at such an exponent."""
+    if any(c for e, c in enumerate(p.coeffs) if (e - l) % 2 or e < l):
+        raise ValueError(f"{p} is no type-{l} generating function")
+    return _pack_terms([((e - l) // 2, c) for e, c in enumerate(p.coeffs) if c], k)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +450,7 @@ def test_recursive_equals_trivial_form_on_trivial_ladders():
 def test_recursive_packing_width_on_wide_ladders():
     """Coefficients within 6 bits of 2^W, W = 60 row slots.
 
-    The engine packs each value at q = 2^(W + 1); the trivial ladder gives
+    The engine packs each value in base 2^(W + 1); the trivial ladder gives
     the closed forms exactly, and a boundary step to the top from two rows
     under it (binding for every d <= 2) sends the same spec through the
     peel, whose products and sums must not carry.
@@ -469,16 +472,16 @@ def test_recursive_packing_width_on_wide_ladders():
 
 
 def test_packing_helpers_reject_bad_input():
-    assert _unpack(_packed(P([3, 0, 7]), 3), 3) == P([3, 0, 7])
-    assert _packed(P.zero(), 1) == 0 and _unpack(0, 1) == P.zero()
+    assert _digits(_pack_terms(enumerate((3, 0, 7)), 3), 3) == [3, 0, 7]
+    assert _pack_terms([], 1) == 0 and _digits(0, 1) == []
     with pytest.raises(ValueError):
-        _packed(P([1, -1]), 4)
+        _pack_terms(enumerate((1, -1)), 4)
     with pytest.raises(ValueError):
-        _packed(P([16]), 4)
+        _pack_terms(enumerate((16,)), 4)
     with pytest.raises(ValueError):
-        _unpack(-1, 4)
+        _digits(-1, 4)
     with pytest.raises(ValueError):
-        _unpack(1, 0)
+        _digits(1, 0)
     lad = validate_ladder(3, 3, [1, 2, 3, 4])
     engine = _Engine(lad, [TASpec(0, (0, 0), (1, 1), 0, lad)])
     with pytest.raises(PreconditionViolated):
@@ -509,20 +512,20 @@ def test_packed_closed_forms_match_public_ones():
         w1, w2 = e1 - a1 + 1, e2 - a2 + 1
         k = max(0, w1) + max(0, w2) + 1
         packed = _pack_terms(_trivial_terms(l, a1, a2, e1, e2), k)
-        assert packed == _packed(gf_trivial(l, (a1, a2), (e1, e2), d), k)
+        assert packed == _packed(gf_trivial(l, (a1, a2), (e1, e2), d), l, k)
         # the product formula with ``binomial`` on the raw widths
-        assert packed == sum(binomial(w1, j + l) * binomial(w2, j) << k * (2 * j + l)
+        assert packed == sum(binomial(w1, j + l) * binomial(w2, j) << k * j
                              for j in range(max(0, -l), 12))
         edge = max(a2 - a1 - 1 - l - d, e2 - e1 - 1 - d)
         for D in (edge, edge + 1, edge + 2):
             packed = _pack_terms(_diagonal_terms(l, a1, a2, e1, e2, D, d), k)
-            public = _packed(gf_diagonal(l, (a1, a2), (e1, e2), D, d), k)
+            public = _packed(gf_diagonal(l, (a1, a2), (e1, e2), D, d), l, k)
             assert packed == public, (l, a1, a2, e1, e2, D, d)
 
 
 def test_packed_closed_forms_reject_wide_coefficients():
     with pytest.raises(ValueError):
-        _pack_terms([(0, 1), (2, 16)], 4)
+        _pack_terms([(0, 1), (1, 16)], 4)
     with pytest.raises(ValueError):
         _pack_terms([(1, -1)], 4)
     # C(4, 2)^2 = 36 does not fit in 5 bits, though every row slot count does
@@ -531,7 +534,7 @@ def test_packed_closed_forms_reject_wide_coefficients():
         _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 5)
     with pytest.raises(ValueError):
         _pack_terms(_diagonal_terms(0, 0, 0, 3, 3, 3, 0), 5)
-    assert _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 6) == _packed(gf_trivial(0, (0, 0), (3, 3)), 6)
+    assert _pack_terms(_trivial_terms(0, 0, 0, 3, 3), 6) == _packed(gf_trivial(0, (0, 0), (3, 3)), 0, 6)
 
 
 def test_engine_on_one_diagonal_piece_matches_enumeration():
@@ -551,10 +554,10 @@ def test_engine_on_one_diagonal_piece_matches_enumeration():
         a2 = rng.randint(max(0, a1 + D - 1), a1 + D + 1)
         spec = TASpec(l, (a1, a2), (e1, e2), d, lad)
         engine = _Engine(lad, [spec])
-        truth = _packed(enumerate_arrays(spec), engine.k)
+        truth = _packed(enumerate_arrays(spec), l, engine.k)
         assert engine.eval(l, a1, a2, e1, e2, d) == truth
         assert engine._pieces(a1, a2, e1, e2) == [(a1 - 1, e1, True, D)]
-        assert _packed(gf_diagonal(l, (a1, a2), (e1, e2), D, d), engine.k) == truth
+        assert _packed(gf_diagonal(l, (a1, a2), (e1, e2), D, d), l, engine.k) == truth
         by_formula += not engine._vacuous(l, a1, a2, e1, e2, d)
     assert by_formula >= 50
 
@@ -590,8 +593,8 @@ def test_engine_splits_off_columns_clearing_eps2():
         partitioned = []
         last_run = engine._last_run
         engine._last_run = lambda *window: partitioned.append(window) or last_run(*window)
-        truth = _packed(enumerate_arrays(spec), engine.k)
-        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _packed(gf_direct(spec), engine.k), spec
+        truth = _packed(enumerate_arrays(spec), l, engine.k)
+        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _packed(gf_direct(spec), l, engine.k), spec
         windows += 1
         if not engine._vacuous(l, a1, a2, e1, e2, d) and (a1, a2, e1, e2) not in partitioned:
             fired += 1
@@ -790,12 +793,38 @@ def test_run_index_matches_backward_run_of_clamped_boundary():
         engine = _Engine(lad, [spec])
         if engine._vacuous(l, a1, a2, e1, e2, d):
             continue
-        truth = _packed(enumerate_arrays(spec), engine.k)
-        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _packed(gf_direct(spec), engine.k), spec
+        truth = _packed(enumerate_arrays(spec), l, engine.k)
+        assert engine.eval(l, a1, a2, e1, e2, d) == truth == _packed(gf_direct(spec), l, engine.k), spec
         checked += 1
     assert seen == {"a1 < 0", "a2 > f", "e1 = a1"}
     assert joined >= 20
     assert checked >= 50
+
+
+def test_memo_digits_count_arrays_by_second_row_length():
+    """Base-2^k digit i of every value in the recursive engine's memo is the
+    number of the key's arrays with i second-row entries: the coefficient
+    of q^(2i + l) in the enumeration.  The digits sum to the enumeration's
+    array count, so no array lies past them.  Seeded small ladders and wide
+    specs fill the memos; their keys include types l < 0, pinned tails of
+    type l = -d with d >= 1, and alpha_1 < 0."""
+    rng = random.Random(2801)
+    seen = {"l < 0": 0, "l = -d": 0, "a1 < 0": 0}
+    for _ in range(150):
+        lad = random_ladder(rng, 7, 7)
+        specs = [random_taspec_wide(rng, lad) for _ in range(4)]
+        engine = _Engine(lad, specs)
+        for spec in specs:
+            assert engine.gf(spec) == enumerate_arrays(spec), spec
+        for (l, a1, a2, e1, e2, d), v in engine.memo.items():
+            truth = enumerate_arrays(TASpec(l, (a1, a2), (e1, e2), d, lad))
+            digits = _digits(v, engine.k)
+            assert digits == [truth.coefficient(2 * i + l) for i in range(len(digits))], \
+                (lad.values, l, a1, a2, e1, e2, d)
+            assert sum(digits) == sum(truth.coeffs), (lad.values, l, a1, a2, e1, e2, d)
+            for name, hit in (("l < 0", l < 0), ("l = -d", l == -d and d), ("a1 < 0", a1 < 0)):
+                seen[name] += bool(hit)
+    assert min(seen.values()) >= 150, seen
 
 
 def test_star_recursive():

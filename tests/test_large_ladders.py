@@ -250,6 +250,25 @@ def test_many_pieces_boundary():
     assert time.perf_counter() - t0 < 60.0
 
 
+def test_rise_two_memo_values_fit_their_second_row_slots():
+    """The recursive engine packs a value by second-row length, one base-2^k
+    digit per length 0 .. |[alpha_2, eps_2]|, so it has at most
+    k * (|[alpha_2, eps_2]| + 1) bits.  Checked on every memo value of the
+    1 x 1 minor of the rise-2 ladder f(x) = 2x + 1 for x < a = 80,
+    f(a) = b + 1 = 2a + 2, whose memo holds over 2,000 values; both engines
+    give one series."""
+    a, b = 80, 161
+    lad = validate_ladder(a, b, [2 * x + 1 for x in range(a)] + [b + 1])
+    m = Bivector((1,), (1,))
+    series = hilbert_series(lad, m, "recursive")
+    engine = lad._engine
+    assert len(engine.memo) > 2000
+    for (l, a1, a2, e1, e2, d), v in engine.memo.items():
+        slots = max(0, e2 - a2 + 1)
+        assert v.bit_length() <= engine.k * (slots + 1), (l, a1, a2, e1, e2, d)
+    assert series == hilbert_series(lad, m, "direct")
+
+
 def test_recursive_engine_never_calls_direct_sum(monkeypatch):
     """With the direct multi-sum, one target's and one row's, made to raise,
     the recursive engine still answers the cliff ladders, whose last

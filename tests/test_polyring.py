@@ -14,10 +14,12 @@ from laddergf import (
     ValidationError,
     binomial,
     det_poly_matrix,
+    hilbert_series,
     series_expand,
     to_z_polynomial,
 )
-from laddergf.polyring import _binomial, _pack, _unpack
+from laddergf.polyring import _binomial, _digits, _pack, _spread
+from helpers import FLAGSHIP_NUMERATOR, flagship_bivector, flagship_ladder
 
 P = HalfPolynomial
 
@@ -89,23 +91,54 @@ def test_polynomial_edge_cases():
 
 
 def test_unpack_builds_the_canonical_form_unchecked(monkeypatch):
-    """``_unpack`` reads digits that are ints by construction, so it builds
-    its polynomial without the constructor's type test; the result equals,
-    hashes and pickles like the checked one, interior zero digits included."""
+    """Digits read back by ``_digits`` are ints by construction, so
+    ``HalfPolynomial._unchecked`` builds their polynomial without the
+    constructor's type test; the result equals, hashes and pickles like the
+    checked one, interior zero digits included."""
     rng = random.Random(23)
     cases = [[rng.choice((0, 0, 1, 5, 255)) for _ in range(rng.randint(0, 9))] + [rng.randint(1, 255)]
              for _ in range(50)]
     checked = [P(c) for c in cases]
 
     def unavailable(self):
-        raise RuntimeError("_unpack ran the constructor's check")
+        raise RuntimeError("_unchecked ran the constructor's check")
 
     monkeypatch.setattr(P, "__post_init__", unavailable)
     for c, want in zip(cases, checked):
-        got = _unpack(_pack(c, 8), 8)
+        got = P._unchecked(_digits(_pack(c, 8), 8))
         assert got.coeffs == tuple(c) and got == want and hash(got) == hash(want), c
         assert pickle.loads(pickle.dumps(got)) == want
-    assert _unpack(0, 8).coeffs == ()
+    assert P._unchecked(_digits(0, 8)).coeffs == ()
+
+
+def test_spread_writes_digit_i_at_exponent_2i_plus_l():
+    """``_spread`` gives a type-l generating function from its counts by
+    second-row length, trimmed to the canonical form; a nonzero digit below
+    -l, which would sit at a negative q-exponent, raises ValueError."""
+    assert _spread([3, 0, 7], 1) == P([0, 3, 0, 0, 0, 7])
+    assert _spread([2, 5], 0) == P([2, 0, 5])
+    assert _spread([0, 0, 5, 1], -2) == P([0, 0, 5, 0, 1])
+    assert _spread([0, 4, 0, 0], -1).coeffs == (0, 4)
+    assert _spread([], -3) == _spread([0, 0], 2) == _spread([0, 0], -5) == P()
+    for digits, l in (([0, 1, 2], -2), ([1], -1), ([0, 0, 1], -3)):
+        with pytest.raises(ValueError):
+            _spread(digits, l)
+
+
+def test_pipeline_builds_its_polynomials_unchecked(monkeypatch):
+    """Every polynomial that both engines and the pipeline determinant build
+    has int coefficients by construction, so none runs the constructor's
+    type test: with that test made to raise, the flagship Hilbert series
+    still comes out by both methods, equal to its pin."""
+    lad, m = flagship_ladder(), flagship_bivector()
+
+    def unavailable(self):
+        raise RuntimeError("the pipeline ran the constructor's check")
+
+    monkeypatch.setattr(P, "__post_init__", unavailable)
+    for method in ("recursive", "direct"):
+        series = hilbert_series(lad, m, method)
+        assert list(series.z_coefficients) == FLAGSHIP_NUMERATOR, method
 
 
 def test_polynomials_are_immutable():
