@@ -19,7 +19,8 @@ checks the numbers, so an instance file obeys the same integer rule as a
 library call.  Coefficients print as exact decimal strings because they
 routinely exceed 64-bit range.
 
-Exit codes: 0 success, 2 validation error, 3 verification mismatch,
+Exit codes: 0 success, 2 validation error, 3 verification mismatch (for
+``bench``, after printing its report with ``"results_match": false``),
 4 resource guard tripped.
 """
 
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
         return 1
     text = json.dumps(payload, indent=2) + "\n" if args.format == "json" else args.pretty(payload)
     sys.stdout.write(text)
+    if payload.get("results_match") is False:
+        print("mismatch: the direct and recursive engines' results differ", file=sys.stderr)
+        return 3
     return 0
 
 

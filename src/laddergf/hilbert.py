@@ -17,6 +17,7 @@ affects the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import MismatchFound, OddExponentPresent, ValidationError
 from .genfun import TASpec, _engine_for, gf_direct_row
@@ -29,9 +30,14 @@ from .model import (
     endpoints_from_bivector,
     validate_general_endpoints,
 )
-from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _digits, _pack
+from .polyring import HalfPolynomial, HilbertSeries, _bareiss, _digits, _pack, _wide_digits
 
 METHODS = ("recursive", "direct")  # the default first
+
+# The size in bits of the two-point determinant's packed result from which
+# GFMatrix.determinant takes the four-point route, where it ran faster
+# (README gives the measurement).
+FOUR_POINT_BITS = 5000
 
 
 @dataclass(frozen=True)
@@ -79,22 +85,37 @@ class GFMatrix:
         nonnegative and sum to D, the integer determinant of the entries at
         z = 1: the number of families.  Each coefficient is then at most D
         and fits in K = max(1, D.bit_length()) bits.  Write
-        P(z) = E(z^2) + z O(z^2) and take b = ceil(K / 2).  Two fraction-free
-        eliminations, on the entries packed at z = 2^b and at z = -2^b, give
-        E(4^b) = (P(2^b) + P(-2^b)) / 2 and
-        O(4^b) = (P(2^b) - P(-2^b)) / 2^(b+1), both exact divisions for any
-        integer matrix; since 2b >= K, the unsigned base-2^(2b) digits of
-        E and O are the even and odd coefficients of P (multipoint
-        Kronecker substitution, Harvey 2009).  The two eliminations work on
-        integers half as long as one at z = 2^K would, and CPython's
-        Karatsuba products and quadratic divisions make that more than
-        halve their cost.  ``det_poly_matrix`` sizes its single width by
-        Hadamard's bound, which holds for any signed matrix, and that is
-        wider than K (README gives measured widths).
+        P(z) = E(z^2) + z O(z^2).  Two fraction-free eliminations, on the
+        entries packed at z = 2^h and at z = -2^h, give
+        E(4^h) = (P(2^h) + P(-2^h)) / 2 and
+        O(4^h) = (P(2^h) - P(-2^h)) / 2^(h+1), both exact divisions for any
+        integer matrix (multipoint Kronecker substitution, Harvey 2009).
+        CPython multiplies by Karatsuba and divides in quadratic time, so
+        eliminations on shorter integers cost less than their share.
+
+        The two-point route takes h = b = ceil(K / 2): since 2b >= K, the
+        unsigned base-2^(2b) digits of E(4^b) and O(4^b) are the even and
+        odd coefficients of P.  The four-point route halves h once more.
+        Column shifts c_t = min_s deg M_st and row shifts
+        r_s = max_t (deg M_st - c_t) bound each entry's degree by r_s + c_t,
+        so deg P <= N = sum r + sum c, padded to even on the first row.  The
+        reversed matrix z^(r_s + c_t) M_st(1/z) has determinant
+        z^N P(1/z), whose even and odd parts hold the coefficients of E and
+        O in reverse.  Four eliminations, on both matrices at
+        z = +-2^c with c = ceil((K + 1) / 4), give E and O at 4^c and
+        their reversals there; every coefficient is below 2^(4c - 1), so
+        ``_wide_digits`` reads each coefficient, two base-4^c digits wide,
+        from the reversal's low digits and the forward value's high ones.
+        The four-point route runs when the two-point result would be
+        FOUR_POINT_BITS bits or more, b * N, where it is the faster one
+        (README gives measured figures).  ``det_poly_matrix`` sizes its
+        single width by Hadamard's bound, which holds for any signed matrix,
+        and that is wider than K.
 
         The bound holds only by the theorem.  A matrix that breaks it, such
-        as a hand-built one, raises MismatchFound when E or O is negative
-        or the digits of both do not sum to D.
+        as a hand-built one, raises MismatchFound when E or O is negative,
+        when the four-point digits leave a remainder or a negative
+        coefficient, or when the coefficients do not sum to D.
         """
         # entry (s, t) times q^(s mod 2 + t mod 2): its q^(4j) and q^(4j + 2)
         # coefficients are those of z^(2j) and z^(2j + 1), and the others are 0
@@ -103,19 +124,28 @@ class GFMatrix:
             for s, row in enumerate(self.entries)
         ]
         families = _bareiss([[sum(c) for c in row] for row in shifted])
-        b = (max(1, families.bit_length()) + 1) // 2
-        # each entry's even and odd parts in z at 4^b, the odd one times 2^b
-        halves = [[(_pack(c[::4], 2 * b), _pack(c[2::4], 2 * b) << b) for c in row]
-                  for row in shifted]
-        at_plus = _bareiss([[even + odd for even, odd in row] for row in halves])
-        at_minus = _bareiss([[even - odd for even, odd in row] for row in halves])
-        even, odd = (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (b + 1)
-        if even < 0 or odd < 0:
-            part = "even" if even < 0 else "odd"
-            raise MismatchFound(
-                f"the {part} part of the determinant is negative at z^2 = 4^{b}, "
-                "so it does not count path families")
-        even_coeffs, odd_coeffs = _digits(even, 2 * b), _digits(odd, 2 * b)
+        width = max(1, families.bit_length())
+        b = (width + 1) // 2
+        shifts = _four_point_shifts(shifted, b)
+        if shifts is None:
+            even, odd = _even_odd(shifted, b)
+            even_coeffs, odd_coeffs = _digits(even, 2 * b), _digits(odd, 2 * b)
+        else:
+            rows, cols = shifts
+            half_degree = (sum(rows) + sum(cols)) // 4
+            c = (width + 4) // 4
+            reversed_q = [
+                [(e + (0,) * (rs + ct + 1 - len(e)))[::-1] for e, ct in zip(row, cols)]
+                for row, rs in zip(shifted, rows)
+            ]
+            (even, odd), (even_rev, odd_rev) = _even_odd(shifted, c), _even_odd(reversed_q, c)
+            try:
+                even_coeffs = _wide_digits(even, even_rev, 2 * c, half_degree + 1)
+                odd_coeffs = _wide_digits(odd, odd_rev, 2 * c, half_degree)
+            except ValueError as exc:
+                raise MismatchFound(
+                    f"the determinant does not read as coefficients in [0, 2^{4 * c - 1}), "
+                    f"so it does not count path families: {exc}") from exc
         total = sum(even_coeffs) + sum(odd_coeffs)
         if total != families:
             raise MismatchFound(
@@ -127,6 +157,48 @@ class GFMatrix:
         q_coeffs[:4 * len(even_coeffs):4] = even_coeffs
         q_coeffs[2:4 * len(odd_coeffs):4] = odd_coeffs
         return HalfPolynomial._unchecked(q_coeffs[2 * (self.n // 2):])
+
+
+def _four_point_shifts(shifted: list[list[tuple[int, ...]]], b: int):
+    """The row and column shifts r_s and c_t of the four-point route, in
+    q-exponents (twice their z-degrees), the first row padded so that N is
+    even; None when the two-point result, b N bits, stays below
+    FOUR_POINT_BITS.
+
+    N is at most twice n times the largest z-degree, so the length of the
+    longest entry settles that for small matrices without the shifts.  The
+    columns are shifted down by their lowest degree, then the rows by the
+    largest remaining one; an all-zero row or column takes shift 0.
+    """
+    if b * len(shifted) * max(map(len, chain.from_iterable(shifted))) < FOUR_POINT_BITS:
+        return None
+    cols = [min([len(c) - 1 for c in col if c] or [0]) for col in zip(*shifted)]
+    rows = [max([len(c) - 1 - ct for c, ct in zip(row, cols) if c] or [0])
+            for row in shifted]
+    rows[0] += (sum(rows) + sum(cols)) % 4
+    if b * (sum(rows) + sum(cols)) // 2 < FOUR_POINT_BITS:
+        return None
+    return rows, cols
+
+
+def _even_odd(shifted: list[list[tuple[int, ...]]], h: int) -> tuple[int, int]:
+    """E(4^h) and O(4^h) for the determinant P(z) = E(z^2) + z O(z^2) of a
+    matrix of q-coefficient tuples with even q-exponents only, z = q^2, by
+    one elimination at z = 2^h and one at z = -2^h.  Raises MismatchFound
+    when either is negative, as no determinant that counts path families
+    is."""
+    # each entry's even and odd parts in z at 4^h, the odd one times 2^h
+    halves = [[(_pack(c[::4], 2 * h), _pack(c[2::4], 2 * h) << h) for c in row]
+              for row in shifted]
+    at_plus = _bareiss([[even + odd for even, odd in row] for row in halves])
+    at_minus = _bareiss([[even - odd for even, odd in row] for row in halves])
+    even, odd = (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (h + 1)
+    if even < 0 or odd < 0:
+        part = "even" if even < 0 else "odd"
+        raise MismatchFound(
+            f"the {part} part of the determinant is negative at z^2 = 4^{h}, "
+            "so it does not count path families")
+    return even, odd
 
 
 def matrix_specs(ladder: LadderFunction, cfg: EndpointConfig) -> list[list[TASpec]]:

@@ -15,9 +15,12 @@ polynomial at 2^k, ``_pack_terms`` packs (digit index, coefficient) terms
 and rejects a coefficient that is not a digit (the ``genfun`` recursive
 engine packs its closed forms with it, indexed by second-row length),
 ``_digits`` reads unsigned digits back (the pipeline determinant and the
-recursive engine both use it), ``_spread`` places the digits of a type-l
-generating function at q^l, q^(l + 2), ..., as the recursive engine reads
-its values, and ``_bareiss`` eliminates on the packed integers.
+recursive engine both use it), ``_wide_digits`` reads coefficients two
+digits wide from the packings of a polynomial and of its reversal (the
+pipeline determinant's four-point route), ``_spread`` places the digits
+of a type-l generating function at q^l, q^(l + 2), ..., as the recursive
+engine reads its values, and ``_bareiss`` eliminates on the packed
+integers.
 ``HalfPolynomial._unchecked`` builds the library's own polynomials, whose
 coefficients are ints by construction, without the public constructor's
 type test.  ``_binomial`` is ``binomial`` without its type check, for the
@@ -237,6 +240,34 @@ def _digits(v: int, k: int) -> list[int]:
     while v:
         digits.append(v & mask)
         v >>= k
+    return digits
+
+
+def _wide_digits(forward: int, backward: int, k: int, count: int) -> list[int]:
+    """The coefficients e_0, ..., e_(count - 1) of a polynomial from its
+    values at 2^k and at 2^k of its reversal:
+    forward = sum e_i 2^(k i) and backward = sum e_i 2^(k (count - 1 - i)).
+
+    Each e_i must lie in [0, 2^(2k - 1)), so it spans two base-2^k digits
+    and the terms overlap.  They are read from the top down: the low k bits
+    of ``backward`` are e_i mod 2^k; the rest of e_i is
+    ((forward >> k i) - that) >> k, exact because the terms below i add less
+    than 2^k there.  Then e_i is peeled from both values.  Raises ValueError
+    on a negative coefficient and on anything left over, which the values of
+    coefficients in that range never give.
+    """
+    mask = (1 << k) - 1
+    digits = [0] * count
+    for i in reversed(range(count)):
+        low = backward & mask
+        high = ((forward >> (k * i)) - low) >> k
+        if high < 0:
+            raise ValueError(f"coefficient {i} read in base 2^{k} is negative")
+        digits[i] = e = low | (high << k)
+        forward -= e << (k * i)
+        backward = (backward - e) >> k
+    if forward or backward:
+        raise ValueError(f"packed values are not {count} coefficients in base 2^{k}")
     return digits
 
 

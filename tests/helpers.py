@@ -4,6 +4,7 @@ independent determinant oracles."""
 import random
 from fractions import Fraction
 
+import laddergf.hilbert
 from laddergf import (
     Bivector,
     HalfPolynomial,
@@ -215,3 +216,18 @@ def hadamard_determinant(entries) -> HalfPolynomial:
     q_coeffs = [0] * (2 * len(z_coeffs))
     q_coeffs[::2] = z_coeffs
     return HalfPolynomial(q_coeffs)
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """The sizes of the matrices that ``GFMatrix.determinant`` eliminates
+    from now on, one per ``_bareiss`` call: 3 calls on its two-point route,
+    5 on its four-point one."""
+    calls = []
+    real = laddergf.hilbert._bareiss
+
+    def counting(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(laddergf.hilbert, "_bareiss", counting)
+    return calls

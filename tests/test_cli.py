@@ -1,6 +1,8 @@
 """The command-line driver: formats, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,24 @@ def test_hilbert_flagship(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["numerator"] == [str(c) for c in FLAGSHIP_NUMERATOR]
     assert payload["denominator_exponent"] == 99
+
+
+def test_hilbert_sweep_minor_instance(capsys):
+    """The bundled minor u = v = (1..9) of the minor_sweep benchmark's
+    26 x 26 ladder, whose determinant takes the four-point route, through
+    both engines: its numerator (sha256 of the comma-joined coefficients,
+    pinned from the two-point route), denominator exponent and first
+    Hilbert function values."""
+    path = Path(__file__).resolve().parent.parent / "demos" / "instances" / "sweep_minor.json"
+    code, out, err = run(capsys, ["hilbert", "--input", str(path), "--method", "both",
+                                  "--series-terms", "4"])
+    assert code == 0, err
+    payload = json.loads(out)
+    numerator = payload["numerator"]
+    assert len(numerator) == 154 and payload["denominator_exponent"] == 405
+    assert hashlib.sha256(",".join(numerator).encode()).hexdigest() == \
+        "b9be3c116c618c96b4d2c7f3961ec2628431241acea775892ec27b7090e99e7c"
+    assert payload["hilbert_function"] == ["1", "584", "170820", "33366840"]
 
 
 def test_hilbert_both_methods(capsys, hypersurface):
@@ -331,10 +351,13 @@ def test_both_methods_disagreeing_exit_3(capsys, small_instance, monkeypatch, co
 
 
 def test_bench_reports_disagreement(capsys, small_instance, monkeypatch):
+    """bench prints its report when the engines disagree, and exits 3 like
+    hilbert and verify do."""
     _skew_direct(monkeypatch, "path_gf")
-    code, out, _ = run(capsys, ["bench", "--input", small_instance])
-    assert code == 0
+    code, out, err = run(capsys, ["bench", "--input", small_instance])
+    assert code == 3
     assert json.loads(out)["results_match"] is False
+    assert "mismatch" in err
 
 
 def test_bench_times_explicit_endpoints(capsys, small_instance, monkeypatch):

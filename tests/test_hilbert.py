@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import laddergf.hilbert
 from laddergf import (
     Bivector,
     GFMatrix,
@@ -35,6 +36,7 @@ from laddergf.hilbert import matrix_specs
 from laddergf.polyring import _bareiss
 from helpers import (
     FLAGSHIP_NUMERATOR,
+    count_eliminations,
     flagship_bivector,
     flagship_ladder,
     hadamard_determinant,
@@ -212,15 +214,23 @@ def test_determinant_rejects_matrix_counting_no_families(name):
 
 
 def test_determinant_guard_survives_optimize():
-    """python -O drops asserts; the guard must still raise, not hang on
-    reading the digits of a negative value."""
+    """python -O drops asserts; the guards must still raise, not hang on
+    reading the digits of a negative value: the two-point and the
+    four-point determinant on matrices that count no path families, and the
+    four-point digit reader on a negative coefficient and on a remainder."""
     code = (
         "from laddergf import GFMatrix, HalfPolynomial as P, MismatchFound\n"
-        "m = GFMatrix(2, ((P.one(), P([0, 1])), (P([0, 1]), P.one())))\n"
-        "try:\n"
-        "    m.determinant()\n"
-        "except MismatchFound:\n"
-        "    print('raised')\n"
+        "from laddergf.polyring import _wide_digits\n"
+        "two = GFMatrix(2, ((P.one(), P([0, 1])), (P([0, 1]), P.one())))\n"
+        "four = GFMatrix(1, ((P.from_dict({0: 1, 5000: -1, 10000: 1}),),))\n"
+        "for call, error in ((two.determinant, MismatchFound),\n"
+        "                    (four.determinant, MismatchFound),\n"
+        "                    (lambda: _wide_digits(241, 241, 4, 3), ValueError),\n"
+        "                    (lambda: _wide_digits(1, 0, 4, 0), ValueError)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        print('raised')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -228,7 +238,75 @@ def test_determinant_guard_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised"] * 4
+
+
+def test_small_determinants_take_the_two_point_route(monkeypatch):
+    """Matrices of the size the crosscheck benchmark asks for (a, b in
+    9..13, n = 2..4) and the flagship are eliminated three times: at z = 1
+    and at z = +-2^b.  They stay below the four-point route's cutover."""
+    rng = random.Random(47)
+    matrices = [build_gf_matrix(flagship_ladder(),
+                                endpoints_from_bivector(flagship_ladder(), flagship_bivector()))]
+    while len(matrices) < 25:
+        lad = random_corollary_ladder(rng, 13, 13)
+        if min(lad.a, lad.b) >= 9:
+            m = random_bivector(rng, lad, 4)
+            if m.n >= 2:
+                matrices.append(build_gf_matrix(lad, endpoints_from_bivector(lad, m)))
+    want = [hadamard_determinant(matrix.entries) for matrix in matrices]
+    calls = count_eliminations(monkeypatch)
+    for matrix, det in zip(matrices, want):
+        calls.clear()
+        assert matrix.determinant() == det, matrix
+        assert calls == [matrix.n] * 3, matrix
+    assert list(matrices[0].determinant().coeffs[::2]) == FLAGSHIP_NUMERATOR
+
+
+def test_four_point_route_agrees_at_every_size(monkeypatch):
+    """With the cutover at 0 bits every matrix takes the four-point route:
+    the 48 pipeline matrices of ``test_determinant_counts_families`` (odd
+    and even degree bounds N among them), 1 x 1 matrices whose largest
+    coefficient is near D (up to 2^(4c - 1) - 1 with K = 4c - 1, and
+    seeded ones), a zero 1 x 1 matrix and a 2 x 2 one with a zero column,
+    all equal to the Hadamard-sized determinant."""
+    rng = random.Random(59)
+    # coefficient j at q^(2j) = z^j
+    dominant = [P.from_dict({2 * j: c for j, c in enumerate(coeffs)}) for coeffs in (
+        [0, 1, 14], [127], [1, 126], [6, 0, 0, 9],
+        *([rng.randint(0, 1 << rng.randint(0, 40)) for _ in range(rng.randint(1, 8))]
+          for _ in range(30)))]
+    zero_column = GFMatrix(2, ((P.one(), P()), (P([0, 1]), P())))
+    matrices = [*_pipeline_matrices(), *(GFMatrix(1, ((p,),)) for p in dominant),
+                GFMatrix(1, ((P(),),)), zero_column]
+    want = [hadamard_determinant(matrix.entries) for matrix in matrices]
+    monkeypatch.setattr(laddergf.hilbert, "FOUR_POINT_BITS", 0)
+    calls = count_eliminations(monkeypatch)
+    for matrix, det in zip(matrices, want):
+        calls.clear()
+        assert matrix.determinant() == det, matrix
+        assert calls == [matrix.n] * 5, matrix
+    assert want[-1] == want[-2] == P()
+
+
+# Matrices above the four-point cutover that pass the shape and parity
+# checks but count no path families.  Both are 1 x 1, with D = 1, K = 1 and
+# N = 5000, so b N = 5000 and c = 1: 1 - z^2500 + z^5000 has nonnegative
+# E and O at 4 and at the reversal, and its digit at z^2500 reads negative;
+# -1 + z^5000 reverses to 1 - z^5000, whose even part at 4 is negative.
+FOUR_POINT_NOT_FAMILY_COUNTS = {
+    "negative_digit": (P.from_dict({0: 1, 5000: -1, 10000: 1}), "is negative"),
+    "negative_reversal": (P.from_dict({0: -1, 10000: 1}), "even part"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_POINT_NOT_FAMILY_COUNTS))
+def test_four_point_route_rejects_matrix_counting_no_families(monkeypatch, name):
+    entry, message = FOUR_POINT_NOT_FAMILY_COUNTS[name]
+    calls = count_eliminations(monkeypatch)
+    with pytest.raises(MismatchFound, match=message):
+        GFMatrix(1, ((entry,),)).determinant()
+    assert calls == [1] * 5
 
 
 def test_one_by_one_determinant_even_odd_split():

@@ -24,6 +24,7 @@ from laddergf import (
 from laddergf.genfun import _Engine
 from helpers import (
     FLAGSHIP_NUMERATOR,
+    count_eliminations,
     flagship_bivector,
     flagship_ladder,
     hadamard_determinant,
@@ -95,7 +96,10 @@ def test_large_determinants():
     O(n^3) elimination packed by Hadamard's bound, and 0.07 s each packed
     by the family count D.  Timed again on that VM when the host ran
     slower: 0.10 s each with one elimination at z = 2^K, and 0.055 s each
-    with two at z = 2^b and z = -2^b, b = ceil(K / 2)."""
+    with two at z = 2^b and z = -2^b, b = ceil(K / 2).  Timed again there,
+    best of 20 from a fresh ladder: 0.058 s each with those two, and 0.045 s
+    and 0.042 s on the four-point route, with two more eliminations on the
+    reversed matrix and half the width."""
     lad = validate_ladder(26, 26, SWEEP_LADDER)
     t0 = time.perf_counter()
     for n, (pin, exponent, length) in SWEEP_PINS.items():
@@ -109,35 +113,65 @@ def test_large_determinants():
 WIDE_SWEEP_LADDER = tuple(v + 4 for v in SWEEP_LADDER[:16]) + (31,) * 15
 
 
-def test_family_count_packing_at_large_n():
+def test_sweep_determinants_take_the_four_point_route(monkeypatch):
+    """Seeded minors n = 8 and 9 of the minor_sweep ladder are eliminated
+    five times, at z = 1 and at z = +-2^c on the matrix and its reversal,
+    and equal the Hadamard-sized determinant and the rational determinant
+    of the entries at q = 2, 3 and -1."""
+    lad = validate_ladder(26, 26, SWEEP_LADDER)
+    rng = random.Random(53)
+    calls = count_eliminations(monkeypatch)
+    for n in (8, 8, 9, 9):
+        m = Bivector(tuple(sorted(rng.sample(range(1, 12), n))),
+                     tuple(sorted(rng.sample(range(1, 12), n))))
+        matrix = build_gf_matrix(lad, endpoints_from_bivector(lad, m))
+        calls.clear()
+        det = matrix.determinant()
+        assert calls == [n] * 5, m
+        assert det == hadamard_determinant(matrix.entries), m
+        for q0 in (2, 3, -1):
+            at_q0 = rational_det([[_evaluate(e, q0) for e in row] for row in matrix.entries])
+            assert _evaluate(det, q0) == at_q0, (m, q0)
+
+
+def test_family_count_packing_at_large_n(monkeypatch):
     """GFMatrix.determinant, packed by the family count D, against the
     generic determinant packed by Hadamard's bound, at n = 12 and 14.  On a
     2-vCPU Xeon VM the two took 0.5 s and 2.6 s at n = 12, and 0.5 s and
     4.3 s at n = 14.  Timed again on that VM when the host ran slower, the
     pipeline determinant took 0.37 s at n = 12 and 0.38 s at n = 14 with two
     eliminations at z = 2^b and z = -2^b, against 0.65 s and 0.70 s with
-    one at z = 2^K, and the generic one 3.3 s and 5.8 s."""
+    one at z = 2^K, and the generic one 3.3 s and 5.8 s.  Timed again there
+    (best of 12), the pipeline determinant took 0.22 s at n = 12 and 0.28 s
+    at n = 14 on the four-point route, against 0.36 s and 0.38 s on the
+    two-point one; each takes the four-point route."""
     lad = validate_ladder(30, 30, WIDE_SWEEP_LADDER)
+    calls = count_eliminations(monkeypatch)
     t0 = time.perf_counter()
     for n in (12, 14):
         m = Bivector(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
         matrix = build_gf_matrix(lad, endpoints_from_bivector(lad, m))
+        calls.clear()
         assert matrix.determinant() == hadamard_determinant(matrix.entries), n
+        assert calls == [n] * 5, n
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_family_count_packing_by_evaluation_at_large_n():
+def test_family_count_packing_by_evaluation_at_large_n(monkeypatch):
     """GFMatrix.determinant at n = 12 and 14, evaluated at q = 2, 3 and -1,
     against the determinant of the entries evaluated there, taken by exact
     rational elimination: a check that shares no packing or division code
     with the library's.  On a 2-vCPU Xeon VM the six rational determinants,
     entry evaluation included, took 0.05 s in all."""
     lad = validate_ladder(30, 30, WIDE_SWEEP_LADDER)
+    calls = count_eliminations(monkeypatch)
     elapsed = 0.0
     for n in (12, 14):
         m = Bivector(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
         matrix = build_gf_matrix(lad, endpoints_from_bivector(lad, m))
+        calls.clear()
         det = matrix.determinant()
+        assert calls == [n] * 5, n
         for q0 in (2, 3, -1):
             t0 = time.perf_counter()
             at_q0 = rational_det([[_evaluate(e, q0) for e in row] for row in matrix.entries])

@@ -18,7 +18,7 @@ from laddergf import (
     series_expand,
     to_z_polynomial,
 )
-from laddergf.polyring import _binomial, _digits, _pack, _spread
+from laddergf.polyring import _binomial, _digits, _pack, _spread, _wide_digits
 from helpers import FLAGSHIP_NUMERATOR, flagship_bivector, flagship_ladder
 
 P = HalfPolynomial
@@ -123,6 +123,53 @@ def test_spread_writes_digit_i_at_exponent_2i_plus_l():
     for digits, l in (([0, 1, 2], -2), ([1], -1), ([0, 0, 1], -3)):
         with pytest.raises(ValueError):
             _spread(digits, l)
+
+
+def _both_ends(coeffs, k):
+    """sum c_i 2^(k i) and the same with the coefficients reversed."""
+    top = len(coeffs) - 1
+    return (sum(c << (k * i) for i, c in enumerate(coeffs)),
+            sum(c << (k * (top - i)) for i, c in enumerate(coeffs)))
+
+
+def test_wide_digits_reads_coefficients_two_digits_wide():
+    """``_wide_digits`` gives back every coefficient list in [0, 2^(2k - 1))
+    from its two packings: random coefficients up to the bound, the bound
+    itself, odd and even counts, zeros at either end, the zero polynomial
+    and the empty one."""
+    rng = random.Random(31)
+    for _ in range(400):
+        k = rng.randint(1, 70)
+        top = (1 << (2 * k - 1)) - 1
+        coeffs = [rng.choice((0, top, rng.randint(0, top), rng.randint(0, 1 << k)))
+                  for _ in range(rng.randint(0, 15))]
+        assert _wide_digits(*_both_ends(coeffs, k), k, len(coeffs)) == coeffs, (k, coeffs)
+    for count in range(8):
+        for coeffs in ([0] * count, [0] * (count - 1) + [7], [7] + [0] * (count - 1),
+                       [0] * (count // 2) + [7] * (count - count // 2)):
+            coeffs = coeffs[:count]
+            for k in (2, 3, 9):
+                assert _wide_digits(*_both_ends(coeffs, k), k, count) == coeffs, (k, coeffs)
+    assert _wide_digits(0, 0, 3, 0) == []
+
+
+@pytest.mark.parametrize("coeffs, k, count, forward_extra", [
+    ([1, -1, 1], 4, 3, 0),  # a negative coefficient
+    ([5, -3], 3, 2, 0),
+    ([], 3, 0, -1),  # a negative value
+    ([1, 2, 3], 4, 2, 0),  # more coefficients than asked for
+    ([1, 2, 3], 4, 3, 1 << 40),  # a forward value with bits past the top
+    ([1, 2, 3], 4, 3, 1),  # two values that do not agree
+    ([], 4, 0, 1),
+], ids=["negative", "negative-top", "negative-empty", "too-many", "past-the-top",
+        "disagree", "nonzero-empty"])
+def test_wide_digits_rejects_values_of_no_such_coefficients(coeffs, k, count, forward_extra):
+    """A negative coefficient, or anything left over once ``count``
+    coefficients are peeled, raises ValueError; ``test_hilbert`` checks that
+    this holds under ``python -O`` too."""
+    forward, backward = _both_ends(coeffs, k)
+    with pytest.raises(ValueError):
+        _wide_digits(forward + forward_extra, backward, k, count)
 
 
 def test_pipeline_builds_its_polynomials_unchecked(monkeypatch):
