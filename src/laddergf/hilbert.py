@@ -97,8 +97,9 @@ class GFMatrix:
         unsigned base-2^(2b) digits of E(4^b) and O(4^b) are the even and
         odd coefficients of P.  The four-point route halves h once more.
         Column shifts c_t = min_s deg M_st and row shifts
-        r_s = max_t (deg M_st - c_t) bound each entry's degree by r_s + c_t,
-        so deg P <= N = sum r + sum c, padded to even on the first row.  The
+        r_s = max_t (deg M_st - c_t), over the nonzero entries, bound each
+        entry's degree by r_s + c_t, so deg P <= N = sum r + sum c, padded
+        to even on the first row.  The
         reversed matrix z^(r_s + c_t) M_st(1/z) has determinant
         z^N P(1/z), whose even and odd parts hold the coefficients of E and
         O in reverse.  Four eliminations, on both matrices at
@@ -168,13 +169,18 @@ def _four_point_shifts(shifted: list[list[tuple[int, ...]]], b: int):
     N is at most twice n times the largest z-degree, so the length of the
     longest entry settles that for small matrices without the shifts.  The
     columns are shifted down by their lowest degree, then the rows by the
-    largest remaining one; an all-zero row or column takes shift 0.
+    largest remaining one; an all-zero row or column takes shift 0.  Only
+    nonzero entries have a degree: a zero entry's shifted tuple is its
+    leading zeros, whose length would give an odd row or column a shift of
+    odd q-degree and put odd q-exponents into the reversal.
     """
     if b * len(shifted) * max(map(len, chain.from_iterable(shifted))) < FOUR_POINT_BITS:
         return None
-    cols = [min([len(c) - 1 for c in col if c] or [0]) for col in zip(*shifted)]
-    rows = [max([len(c) - 1 - ct for c, ct in zip(row, cols) if c] or [0])
-            for row in shifted]
+    # entries are canonical, so a nonzero one ends in a nonzero coefficient
+    degrees = [[len(c) - 1 if c and c[-1] else None for c in row] for row in shifted]
+    cols = [min([d for d in col if d is not None] or [0]) for col in zip(*degrees)]
+    rows = [max([d - ct for d, ct in zip(row, cols) if d is not None] or [0])
+            for row in degrees]
     rows[0] += (sum(rows) + sum(cols)) % 4
     if b * (sum(rows) + sum(cols)) // 2 < FOUR_POINT_BITS:
         return None

@@ -263,13 +263,49 @@ def test_small_determinants_take_the_two_point_route(monkeypatch):
     assert list(matrices[0].determinant().coeffs[::2]) == FLAGSHIP_NUMERATOR
 
 
+def _zero_odd_entry_matrix(corner: P) -> GFMatrix:
+    """The 4 x 4 matrix with ones on the diagonal but ``corner`` at (3, 3),
+    q at (0, 1) and (2, 1), and zeros elsewhere (0-based): its determinant
+    is ``corner``, and its zeros at (1, 3) and (3, 1) sit at an odd row and
+    an odd column, where the four-point shifts must not read a degree off a
+    zero entry."""
+    entries = [[P()] * 4 for _ in range(4)]
+    for s in range(3):
+        entries[s][s] = P.one()
+    entries[3][3] = corner
+    entries[0][1] = entries[2][1] = P([0, 1])
+    return GFMatrix(4, tuple(map(tuple, entries)))
+
+
+def _triangular_matrices(rng: random.Random, count: int):
+    """Seeded upper and lower triangular matrices, n = 2..6, with
+    nonnegative entries of the parity t - s, about half of them zero off
+    the diagonal: their determinants, the products of the diagonals, have
+    nonnegative coefficients, as the family-count packing needs, and their
+    zeros fall at every parity of row and column."""
+    def entry(parity):
+        return P.from_dict({2 * j + parity: rng.randint(1, 9)
+                            for j in rng.sample(range(6), rng.randint(1, 3))})
+
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        upper = rng.random() < 0.5
+        yield GFMatrix(n, tuple(
+            tuple(entry(0) if s == t else
+                  entry((t - s) % 2) if (t > s) == upper and rng.random() < 0.5 else P()
+                  for t in range(n))
+            for s in range(n)))
+
+
 def test_four_point_route_agrees_at_every_size(monkeypatch):
     """With the cutover at 0 bits every matrix takes the four-point route:
     the 48 pipeline matrices of ``test_determinant_counts_families`` (odd
     and even degree bounds N among them), 1 x 1 matrices whose largest
     coefficient is near D (up to 2^(4c - 1) - 1 with K = 4c - 1, and
-    seeded ones), a zero 1 x 1 matrix and a 2 x 2 one with a zero column,
-    all equal to the Hadamard-sized determinant."""
+    seeded ones), a zero 1 x 1 matrix, a 2 x 2 one with a zero column, a
+    4 x 4 one with zeros at odd rows and odd columns, and seeded triangular
+    ones with zeros anywhere off the diagonal, all equal to the
+    Hadamard-sized determinant."""
     rng = random.Random(59)
     # coefficient j at q^(2j) = z^j
     dominant = [P.from_dict({2 * j: c for j, c in enumerate(coeffs)}) for coeffs in (
@@ -278,6 +314,7 @@ def test_four_point_route_agrees_at_every_size(monkeypatch):
           for _ in range(30)))]
     zero_column = GFMatrix(2, ((P.one(), P()), (P([0, 1]), P())))
     matrices = [*_pipeline_matrices(), *(GFMatrix(1, ((p,),)) for p in dominant),
+                _zero_odd_entry_matrix(P.one()), *_triangular_matrices(rng, 40),
                 GFMatrix(1, ((P(),),)), zero_column]
     want = [hadamard_determinant(matrix.entries) for matrix in matrices]
     monkeypatch.setattr(laddergf.hilbert, "FOUR_POINT_BITS", 0)
@@ -287,6 +324,22 @@ def test_four_point_route_agrees_at_every_size(monkeypatch):
         assert matrix.determinant() == det, matrix
         assert calls == [matrix.n] * 5, matrix
     assert want[-1] == want[-2] == P()
+
+
+def test_zero_entries_carry_no_degree_at_the_cutover(monkeypatch):
+    """The 4 x 4 matrix with zeros at odd rows and odd columns and
+    1 + z^k in its corner has D = 2, b = 1 and degree bound N = k + 2
+    (the corner's shift by q^2 included), padded to even: at k = 4996
+    (b N = 4998) it stays on the two-point route, at k = 4997 and 4998
+    (b N = 5000) it takes the four-point one, and all equal the corner.  Were the zeros given
+    degrees, N would be odd in q, the reversal would carry odd exponents
+    and the route would raise."""
+    calls = count_eliminations(monkeypatch)
+    for k, eliminations in ((4996, 3), (4997, 5), (4998, 5)):
+        corner = P.from_dict({0: 1, 2 * k: 1})
+        calls.clear()
+        assert _zero_odd_entry_matrix(corner).determinant() == corner
+        assert calls == [4] * eliminations, k
 
 
 # Matrices above the four-point cutover that pass the shape and parity
